@@ -196,12 +196,6 @@ def alpha_special(chart: Chart, n_checks: int = 40,
     s = chart.strainer
     k = chart.k
     alpha = 1.0 / (4.0 * k * k)
-    eng = geo.engine(comp)
-
-    def g_fun(y: ComplexPoint) -> float:
-        return float(np.mean([eng.distance(q, y, need_path=False)[0]
-                              for q in s.opposites]))
-
     worst = -math.inf
     checked = 0
     pts = geo.ball_samples(comp, chart.center, chart.radius,

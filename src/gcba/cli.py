@@ -17,15 +17,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import math
 import os
 import sys
 import time
 
 import numpy as np
 
-from . import __name__ as _pkg
-from . import charts, convergence, flows, links, strainers, strata
+from . import charts, convergence, flows, strainers, strata
 from . import geodesics as geo
 from .complexes import ComplexError, ComplexPoint, InputError, load_complex
 from .config import Settings, load_settings

@@ -92,14 +92,12 @@ class Cell:
 
     def face_tuples(self):
         """All proper faces as sorted vertex-slot tuples, by (dim, lex) order."""
-        n = self.nverts
-        out = []
-        for r in range(1, n):
-            out.extend(itertools.combinations(range(n), r))
-        return out
+        return _simplex_faces(self.nverts)
 
 
 def _simplex_faces(n: int):
+    """Proper faces of an (n-1)-simplex as sorted slot tuples, by (dim, lex)
+    order."""
     out = []
     for r in range(1, n):
         out.extend(itertools.combinations(range(n), r))
@@ -216,14 +214,9 @@ class MetricComplex:
         for c in self.cells:
             for tup in c.face_tuples():
                 forest.add((c.cid, tup))
-        declared = set()
         for g in self.gluings:
             if g.a == g.b:
                 raise ComplexError(f"gluing {g}: face glued to itself")
-            key = frozenset((g.a, g.b))
-            if key in declared and len(g.a[1]) > 1:
-                pass  # duplicate declarations are idempotent
-            declared.add(key)
             ta, tb = g.a[1], g.b[1]
             if len(ta) != len(tb) or len(g.corr) != len(ta):
                 raise ComplexError(f"gluing {g}: arity mismatch")
@@ -316,51 +309,30 @@ class MetricComplex:
                     offending.append((c.cid, tup))
         return (len(offending) == 0), offending
 
-    def check_curvature_bound(self, samples: int = 200) -> dict:
+    def check_curvature_bound(self) -> dict:
         """Verification of curvature <= 0, that is, of the local CAT(0)
         condition.  The complex itself is CAT(0) only when it is simply
         connected; in general that holds for its universal cover
         (Cartan-Hadamard), so on a torus a local geodesic need not be a
-        shortest path.  For complexes of dimension <= 2 the exact link
-        criterion runs: every vertex link is a metric graph of girth
-        >= 2*pi (edge links of interior edges are forced to cycles of length
-        exactly 2*pi by construction, so the angle sums hold automatically).
-        Higher dimensions fall back to the sampled comparison test and set
-        a warning flag."""
+        shortest path.  The check is exact (complexes have dimension <= 2):
+        every vertex link is a metric graph of girth >= 2*pi (edge links of
+        interior edges are forced to cycles of length exactly 2*pi by
+        construction, so the angle sums hold automatically)."""
         from . import links as lk
         report = {"pass": True, "violations": [], "exact": True,
                   "warning": None}
-        if self.dim <= 2:
-            seen = set()
-            for root in self.face_classes(dim=0):
-                from .complexes import vertex_point
-                vp = vertex_point(self, root)
-                if vp.key() in seen:
-                    continue
-                seen.add(vp.key())
-                L = lk.link_at(self, vp)
-                g = L.girth()
-                if g < 2 * math.pi - 1e-9:
-                    report["pass"] = False
-                    report["violations"].append(
-                        {"vertex": list(root[1]) and [root[0], root[1][0]],
-                         "girth": g})
-            for root in self.face_classes(dim=1):
-                m = sum(1 for (cid, _) in self.face_class_members(root)
-                        if self.cells[cid].dim == 2)
-                if m >= 2:
-                    # angle sum around the interior edge: m arcs of pi
-                    continue
-            return report
-        report["exact"] = False
-        report["warning"] = "dimension > 2: sampled comparison test only"
-        from . import geodesics as geo
-        rng = np.random.default_rng(self.settings.seed)
-        res = geo.cat_sample_test(self, None, samples, rng)
-        excess = max(res["worst_angle_excess"], res["worst_midpoint_excess"])
-        if excess > 1e-6:
-            report["pass"] = False
-            report["violations"].append({"sampled_excess": excess})
+        seen = set()
+        for root in self.face_classes(dim=0):
+            vp = vertex_point(self, root)
+            if vp.key() in seen:
+                continue
+            seen.add(vp.key())
+            g = lk.link_at(self, vp).girth()
+            if g < 2 * math.pi - 1e-9:
+                report["pass"] = False
+                report["violations"].append(
+                    {"vertex": list(root[1]) and [root[0], root[1][0]],
+                     "girth": g})
         return report
 
     def simplex_volume(self, cid: int) -> float:
@@ -440,6 +412,8 @@ def build_complex(specs: list[tuple[int, np.ndarray]],
 
     Square specs (dim 2 with four slots) are split into two triangles along
     the v0-v2 diagonal; gluings written against square faces are remapped.
+    A cell of dimension >= 3 raises InputError: the geometry is exact for
+    dimension <= 2 only.
     """
     cells: list[Cell] = []
     # input cell -> input face tuple -> (internal cell, internal tuple,
@@ -447,6 +421,8 @@ def build_complex(specs: list[tuple[int, np.ndarray]],
     slot_map: dict[int, dict] = {}
     diagonals: list[int] = []        # internal base ids of split squares
     for in_cid, (dim, lengths) in enumerate(specs):
+        if dim > 2:
+            raise InputError("dimension >= 3 not supported")
         lengths = np.asarray(lengths, dtype=float)
         nv = lengths.shape[0]
         if dim == 2 and nv == 4:

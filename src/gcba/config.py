@@ -1,9 +1,10 @@
-"""Global numeric settings: tolerances, sampling resolutions, ceiling assertions.
+"""Global numeric settings: tolerances, sampling resolutions, ceilings.
 
-All nonconstructive constants from the underlying theory (capacity bounds,
-bad-set ceilings, strainer-count caps) appear here as explicit, auditable
-knobs.  Every module takes a Settings instance; the defaults reproduce the
-shipped test suite.
+The ceilings stand for the nonconstructive constants of the underlying
+theory (bad-set and exceptional-point cardinalities, strainer-count caps);
+they are asserted, not derived.  Every module takes a Settings instance; the
+defaults reproduce the shipped test suite.  A settings file may set only the
+fields below: `load_settings` rejects any other key.
 """
 
 from __future__ import annotations
@@ -11,16 +12,13 @@ from __future__ import annotations
 import dataclasses
 import json
 import math
-import os
 from dataclasses import dataclass
 
 
 @dataclass(frozen=True)
 class Settings:
     # geodesics
-    geodesic_eta: float = 1e-3          # relative accuracy target for distances
     angle_tolerance: float = 1e-6       # local-geodesic turning certificate (rad)
-    net_spacing_factor: float = 50.0    # tiny-ball net spacing = r0 / factor
     max_developments: int = 20000       # cap on unfolded corridors per source
     # links / directions
     angular_resolution: float = math.pi / 180.0
@@ -29,7 +27,6 @@ class Settings:
     # measures
     mc_target_rel_error: float = 0.005  # Monte Carlo standard-error target
     # ceilings (assertions, not derivations)
-    capacity_ceiling: int = 64          # N: doubling ceiling for tiny balls
     c0_ceiling: int = 64                # bad-set cardinality ceiling
     c1_ceiling: int = 64                # per-fiber exceptional-point ceiling
     k0_ceiling: int = 8                 # max strainer size ever accepted
@@ -66,11 +63,3 @@ def load_settings(path: str | None) -> Settings:
     if unknown:
         raise ValueError(f"unknown settings keys: {sorted(unknown)}")
     return Settings(**data)
-
-
-def worker_count() -> int:
-    """Parallelism cap: GCBA_THREADS if set, else 1 (deterministic order)."""
-    try:
-        return max(1, int(os.environ.get("GCBA_THREADS", "1")))
-    except ValueError:
-        return 1

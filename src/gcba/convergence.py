@@ -6,7 +6,6 @@ of rescaled balls, and canonical-measure stability along declared families.
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 

@@ -115,14 +115,6 @@ def bad_triangle_dict() -> dict:
     }
 
 
-def two_tetrahedra(settings: Settings = DEFAULTS) -> MetricComplex:
-    """Two regular unit tetrahedra glued along one face (3-dim smoke test)."""
-    L = np.ones((4, 4)) - np.eye(4)
-    specs = [(3, L), (3, L)]
-    gluings = [((0, (0, 1, 2)), (1, (0, 1, 2)), (0, 1, 2))]
-    return build_complex(specs, gluings, 0.0, settings)
-
-
 def square_point(comp: MetricComplex, square: int, x: float, y: float,
                  side: float = 1.0):
     """Point at square coordinates (x, y) of the `square`-th input square
@@ -153,5 +145,4 @@ BUILDERS = {
     "pillowcase": pillowcase,
     "three_page_book": three_page_book,
     "segment_wedge_square": segment_wedge_square,
-    "two_tetrahedra": two_tetrahedra,
 }

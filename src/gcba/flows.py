@@ -54,10 +54,6 @@ class FlowTrack:
                 "breakpoints": len(self.trace)}
 
 
-def _map_of(s: Strainer) -> StrainerMap:
-    return StrainerMap(comp=None, points=s.points, opposites=s.opposites)
-
-
 def flow_phi_i(comp: MetricComplex, s: Strainer, i: int, y: ComplexPoint,
                target_ai: float, tol: float = 1e-9, step_cap: float = None,
                settings: Settings | None = None):

@@ -5,9 +5,8 @@ unfolded isometrically into the plane (radius-pruned breadth-first search
 over developments, deduplicated by placement), straight candidates are
 validated by walking the ray through the complex, and paths that bend at
 vertices are assembled by a Dijkstra layer threaded over the vertex classes.
-Complexes of dimension >= 3 fall back to an eps-net graph plus convex
-straightening; that route carries the configured multiplicative accuracy
-eta instead of exactness.
+Complexes have dimension <= 2 (load rejects higher ones), so every distance
+takes this route and is exact to about 1e-9.
 """
 
 from __future__ import annotations
@@ -544,34 +543,33 @@ class GeodesicEngine:
     # -- edge (1-dimensional) candidates ----------------------------------------
 
     def _edge_positions(self, p: ComplexPoint):
+        """Sorted (edge, position along it, edge length) of every 1-face
+        class and 1-cell whose closure holds p."""
         key = p.key()
         hit = self._edge_pos_cache.get(key)
         if hit is not None:
             return hit
         comp = self.comp
         out = []
-        reps = p.representations(comp)
-        for root in comp.face_classes(dim=1):
-            rcid, rtup = root
-            L = float(comp.cells[rcid].lengths[rtup[0], rtup[1]])
-            for (mcid, mtup) in comp.face_class_members(root):
-                corr = comp.face_corr(mcid, mtup)
-                for cid, bary in reps:
-                    if cid != mcid:
-                        continue
-                    if any(bary[v] > 1e-12 for v in range(len(bary))
-                           if v not in mtup):
-                        continue
-                    w = {corr[pos]: float(bary[v])
-                         for pos, v in enumerate(mtup)}
-                    out.append((root, w.get(rtup[1], 0.0) * L, L))
-        for cell in comp.cells:
-            if cell.dim != 1:
+        for cid, bary in p.representations(comp):
+            cell = comp.cells[cid]
+            if cell.dim == 1:
+                L = float(cell.lengths[0, 1])
+                out.append((("cell", cid), float(bary[1]) * L, L))
                 continue
-            L = float(cell.lengths[0, 1])
-            for cid, bary in reps:
-                if cid == cell.cid:
-                    out.append((("cell", cell.cid), float(bary[1]) * L, L))
+            if cell.dim != 2:
+                continue
+            # the 1-faces of this triangle that contain the point's carrier
+            support = {v for v in range(3) if bary[v] > 1e-12}
+            for mtup in ((0, 1), (0, 2), (1, 2)):
+                if not support <= set(mtup):
+                    continue
+                root = comp.face_root(cid, mtup)
+                corr = comp.face_corr(cid, mtup)
+                rcid, rtup = root
+                L = float(comp.cells[rcid].lengths[rtup[0], rtup[1]])
+                w = {corr[pos]: float(bary[v]) for pos, v in enumerate(mtup)}
+                out.append((root, w.get(rtup[1], 0.0) * L, L))
         uniq = sorted(set((r, round(px, 12), L) for r, px, L in out))
         self._edge_pos_cache[key] = uniq
         return uniq
@@ -764,9 +762,6 @@ class GeodesicEngine:
         comp = self.comp
         if x == y:
             return 0.0, (_trivial_path(comp, x) if need_path else None)
-        if comp.dim >= 3:
-            from . import highdim
-            return highdim.distance(self, x, y, need_path)
         swap = False
         tx = self._cached_tree(x.key())
         ty = self._cached_tree(y.key())
@@ -898,7 +893,7 @@ def _dijkstra(adj, src, with_prev=False):
 
 def engine(comp: MetricComplex, settings: Settings | None = None) -> GeodesicEngine:
     eng = getattr(comp, "_geodesic_engine", None)
-    if eng is None or (settings is not None and eng.settings is not settings):
+    if eng is None or (settings is not None and eng.settings != settings):
         eng = GeodesicEngine(comp, settings)
         comp._geodesic_engine = eng
     return eng

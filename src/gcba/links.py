@@ -1,27 +1,26 @@
-"""Spaces of directions as piecewise-spherical graphs with the angle metric.
+"""Spaces of directions as metric graphs with the angle metric.
 
-Links of points in complexes of star dimension <= 2 are exact metric graphs:
-nodes are directions along incident edges, arcs are the planar corner angles
-of incident 2-cells (an interior point of a 2-cell gets a full circle, an
-edge-interior point two poles joined by one length-pi arc per incident cell).
-All distances are clamped at pi, the diameter of any nontrivial space of
-directions.  Suprema of w -> d(v,w) + d(w,vbar) are computed exactly on
-graph links (the function is piecewise linear on each arc), so the
-delta-spherical checks below are exhaustive there.
-
-Higher-dimensional stars fall back to an eps-net graph of directions with a
-declared angular resolution.
+Complexes have dimension <= 2 (load rejects higher ones), so every link is an
+exact metric graph: nodes are directions along incident edges, arcs are the
+planar corner angles of incident 2-cells (an interior point of a 2-cell gets
+a full circle, an edge-interior point two poles joined by one length-pi arc
+per incident cell).  All distances are clamped at pi, the diameter of any
+nontrivial space of directions.  The distance from a link point is piecewise
+linear along each arc, with the breakpoints `LinkSpace._arc_breakpoints`
+lists, so suprema of w -> d(v,w) + d(w,vbar), antipode sets and distance
+rings are solved exactly and the delta-spherical checks below are
+exhaustive.
 """
 
 from __future__ import annotations
 
 import heapq
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .complexes import ComplexPoint, MetricComplex, star
+from .complexes import ComplexPoint, MetricComplex
 from .config import Settings
 
 PI = math.pi
@@ -35,7 +34,6 @@ class LinkError(Exception):
 class _Node:
     label: tuple                 # deterministic ordering key
     state: tuple | None          # walker state realizing this direction
-    match: tuple | None = None   # (cid, xy, unit vec) for locating
 
 
 @dataclass
@@ -56,40 +54,34 @@ class LinkSpace:
     [0, arc length].
     """
 
-    def __init__(self, comp: MetricComplex, base: ComplexPoint, kind: str,
-                 nodes: list[_Node], arcs: list[_Arc],
-                 resolution: float | None = None):
+    kind = "graph"     # exact metric graph
+
+    def __init__(self, comp: MetricComplex, base: ComplexPoint,
+                 nodes: list[_Node], arcs: list[_Arc]):
         self.comp = comp
         self.base = base
-        self.kind = kind                   # "graph" (exact) or "net"
         self.nodes = nodes
         self.arcs = arcs
-        self.resolution = resolution       # declared angular resolution (net)
         self._D = self._node_dists()
 
     # -- metric -------------------------------------------------------------
+
+    def _adjacency(self, skip: int | None = None) -> dict[int, list]:
+        """Node -> [(neighbour, arc length)] over every arc but `skip`."""
+        adj: dict[int, list] = {}
+        for k, a in enumerate(self.arcs):
+            if k != skip:
+                adj.setdefault(a.i, []).append((a.j, a.length))
+                adj.setdefault(a.j, []).append((a.i, a.length))
+        return adj
 
     def _node_dists(self) -> np.ndarray:
         n = len(self.nodes)
         D = np.full((n, n), math.inf)
         np.fill_diagonal(D, 0.0)
-        adj: dict[int, list] = {i: [] for i in range(n)}
-        for a in self.arcs:
-            adj[a.i].append((a.j, a.length))
-            adj[a.j].append((a.i, a.length))
+        adj = self._adjacency()
         for s in range(n):
-            dist = {s: 0.0}
-            pq = [(0.0, s)]
-            while pq:
-                d, u = heapq.heappop(pq)
-                if d > dist.get(u, math.inf):
-                    continue
-                for (v2, w) in adj[u]:
-                    nd = d + w
-                    if nd < dist.get(v2, math.inf) - 1e-15:
-                        dist[v2] = nd
-                        heapq.heappush(pq, (nd, v2))
-            for t, d in dist.items():
+            for t, d in _dijkstra(adj, s).items():
                 D[s, t] = d
         return D
 
@@ -110,6 +102,27 @@ class LinkSpace:
             out.append((tv, -1.0))    # |t - tv| left branch
             out.append((-tv, 1.0))    # right branch
         return out
+
+    def _arc_breakpoints(self, p, arc_idx: int):
+        """(pieces, breakpoints) of the piecewise-linear map
+        t -> raw_dist(p, ("arc", arc_idx, t)), which is linear between
+        consecutive breakpoints.  The breakpoints are the arc ends, then
+        every pairwise crossing of the `_pieces` inside the arc, in the order
+        found (with repeats).  p's own t, when p lies inside the arc, is
+        among the crossings: the two branches of |t - tv| cross there.
+        Both lists are empty when p does not reach the arc."""
+        pieces = self._pieces(p, arc_idx)
+        if not pieces:
+            return [], []
+        length = self.arcs[arc_idx].length
+        out = [0.0, length]
+        for (al1, be1) in pieces:
+            for (al2, be2) in pieces:
+                if be1 != be2:
+                    t = (al2 - al1) / (be1 - be2)
+                    if 0 < t < length:
+                        out.append(t)
+        return pieces, out
 
     def _point_node_raw(self, p, node: int) -> float:
         if p[0] == "node":
@@ -157,9 +170,6 @@ class LinkSpace:
                 best = max(best, self.dist(pts[i], pts[j]))
         return best
 
-    def dimension(self) -> int:
-        return 1 if self.arcs else 0
-
     def girth(self) -> float:
         """Length of the shortest cycle of the underlying metric graph
         (math.inf for forests)."""
@@ -169,23 +179,7 @@ class LinkSpace:
                 best = min(best, a.length)
                 continue
             # shortest i->j path avoiding this arc
-            adj: dict[int, list] = {}
-            for k2, b in enumerate(self.arcs):
-                if k2 == skip:
-                    continue
-                adj.setdefault(b.i, []).append((b.j, b.length))
-                adj.setdefault(b.j, []).append((b.i, b.length))
-            dist = {a.i: 0.0}
-            pq = [(0.0, a.i)]
-            while pq:
-                d, u = heapq.heappop(pq)
-                if d > dist.get(u, math.inf):
-                    continue
-                for (v2, w) in adj.get(u, []):
-                    nd = d + w
-                    if nd < dist.get(v2, math.inf) - 1e-15:
-                        dist[v2] = nd
-                        heapq.heappush(pq, (nd, v2))
+            dist = _dijkstra(self._adjacency(skip), a.i)
             if a.j in dist:
                 best = min(best, a.length + dist[a.j])
         return best
@@ -229,8 +223,9 @@ class LinkSpace:
     # -- exact sup of d(v, .) + d(., vbar) -------------------------------------
 
     def max_sum(self, v, vbar):
-        """Exact (sup, argmax) of w -> dist(v,w) + dist(w,vbar) on graph
-        links; on net links the sup is over the node set."""
+        """Exact (sup, argmax) of w -> dist(v,w) + dist(w,vbar): the sum is
+        linear between the breakpoints of both distances and the points
+        where either reaches the pi cap."""
         best = self.dist(v, vbar)
         arg = vbar
         for i in range(len(self.nodes)):
@@ -239,22 +234,16 @@ class LinkSpace:
             if s > best:
                 best, arg = s, w
         for ai, a in enumerate(self.arcs):
-            pv = self._pieces(v, ai)
-            pb = self._pieces(vbar, ai)
             cand = {0.0, a.length}
-            for group in (pv, pb):
-                for (al1, be1) in group:
+            for p in (v, vbar):
+                pieces, bps = self._arc_breakpoints(p, ai)
+                for (al1, be1) in pieces:
                     # pi-cap crossing of each piece
                     if be1 != 0.0:
                         t = (PI - al1) / be1
                         if 0 < t < a.length:
                             cand.add(t)
-                for (al1, be1) in group:
-                    for (al2, be2) in group:
-                        if be1 != be2:
-                            t = (al2 - al1) / (be1 - be2)
-                            if 0 < t < a.length:
-                                cand.add(t)
+                cand.update(bps)
             for t in cand:
                 w = ("arc", ai, t)
                 s = self.dist(v, w) + self.dist(w, vbar)
@@ -273,20 +262,8 @@ class LinkSpace:
             d = self.raw_dist(v, ("node", i))
             if min(d, PI) >= thresh:
                 items.append(("node", i, min(d, PI), ("node", i)))
-        for ai, a in enumerate(self.arcs):
-            pieces = self._pieces(v, ai)
-            if not pieces:
-                continue
-            bps = {0.0, a.length}
-            if v[0] == "arc" and v[1] == ai:
-                bps.add(v[2])
-            for (al1, be1) in pieces:
-                for (al2, be2) in pieces:
-                    if be1 != be2:
-                        t = (al2 - al1) / (be1 - be2)
-                        if 0 < t < a.length:
-                            bps.add(t)
-            bps = sorted(bps)
+        for ai in range(len(self.arcs)):
+            bps = sorted(set(self._arc_breakpoints(v, ai)[1]))
             for k in range(len(bps) - 1):
                 t0, t1 = bps[k], bps[k + 1]
                 f0 = min(self.raw_dist(v, ("arc", ai, t0)), PI)
@@ -397,21 +374,7 @@ class LinkSpace:
             if t >= a.length - 1e-9:
                 return ("node", a.j)
             return p
-        if self.kind == "net":
-            return self._nearest_node_by_match(d, anchor_xy)
         raise LinkError("direction could not be located in the link")
-
-    def _nearest_node_by_match(self, d, anchor_xy):
-        best, arg = math.inf, None
-        for i, nd in enumerate(self.nodes):
-            if nd.match is None or nd.match[0] != d.cid:
-                continue
-            gap = np.linalg.norm(np.asarray(nd.match[2]) - d.array())
-            if gap < best:
-                best, arg = gap, ("node", i)
-        if arg is None:
-            raise LinkError("direction not representable at net resolution")
-        return arg
 
     def realize(self, p) -> tuple | None:
         """Walker state for a link point: ("edge", cid, t, sgn) or
@@ -426,29 +389,36 @@ class LinkSpace:
         return ("ray", a.cid, a.xy.copy(), vec)
 
 
+def _dijkstra(adj: dict[int, list], src: int) -> dict[int, float]:
+    """Shortest-path lengths from src over the adjacency lists `adj`."""
+    dist = {src: 0.0}
+    pq = [(0.0, src)]
+    while pq:
+        d, u = heapq.heappop(pq)
+        if d > dist.get(u, math.inf):
+            continue
+        for (v, w) in adj.get(u, ()):
+            nd = d + w
+            if nd < dist.get(v, math.inf) - 1e-15:
+                dist[v] = nd
+                heapq.heappush(pq, (nd, v))
+    return dist
+
+
 # ---------------------------------------------------------------------------
 # construction
 
 
-def link_at(comp: MetricComplex, x: ComplexPoint,
-            settings: Settings | None = None) -> LinkSpace:
-    """The space of directions at x (exact graph for stars of dim <= 2)."""
+def link_at(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
+    """The space of directions at x, an exact metric graph."""
     cache = getattr(comp, "_link_cache", None)
     if cache is None:
         cache = {}
         comp._link_cache = cache
     hit = cache.get(x.key())
-    if hit is not None:
-        return hit
-    cfg = settings or comp.settings
-    sdim = max(comp.cells[c].dim for c in star(comp, x))
-    if sdim <= 2:
-        L = _exact_link(comp, x)
-    else:
-        from . import highdim
-        L = highdim.net_link(comp, x, cfg)
-    cache[x.key()] = L
-    return L
+    if hit is None:
+        hit = cache[x.key()] = _exact_link(comp, x)
+    return hit
 
 
 def _exact_link(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
@@ -461,7 +431,7 @@ def _exact_link(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
         bp = np.array([0.0, 1.0])
         nodes = [_Node(label=("circle", x.cid), state=("ray", x.cid, xy, b1))]
         arcs = [_Arc(0, 0, 2 * PI, cid=x.cid, xy=xy, b1=b1, bp=bp)]
-        return LinkSpace(comp, x, "graph", nodes, arcs)
+        return LinkSpace(comp, x, nodes, arcs)
     if len(x.carrier) == cell.nverts and cell.dim == 1:
         # interior of a maximal 1-cell: two poles
         L = float(cell.lengths[0, 1])
@@ -472,9 +442,9 @@ def _exact_link(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
             _Node(label=("pole", x.cid, -1),
                   state=("edge", x.cid, t, -1.0)),
         ]
-        return LinkSpace(comp, x, "graph", nodes, [])
+        return LinkSpace(comp, x, nodes, [])
     if len(x.carrier) == cell.nverts and cell.dim == 0:
-        return LinkSpace(comp, x, "graph", [], [])
+        return LinkSpace(comp, x, [], [])
     root = comp.face_root(x.cid, x.carrier)
     if carrier_dim == 1:
         return _edge_interior_link(comp, x, root)
@@ -522,7 +492,7 @@ def _edge_interior_link(comp: MetricComplex, x: ComplexPoint,
         wp = w - np.dot(w, u) * u
         wp = wp / np.linalg.norm(wp)
         arcs.append(_Arc(0, 1, PI, cid=mcid, xy=xy, b1=u, bp=wp))
-    return LinkSpace(comp, x, "graph", nodes, arcs)
+    return LinkSpace(comp, x, nodes, arcs)
 
 
 def _vertex_link(comp: MetricComplex, x: ComplexPoint, root: tuple) -> LinkSpace:
@@ -584,7 +554,7 @@ def _vertex_link(comp: MetricComplex, x: ComplexPoint, root: tuple) -> LinkSpace
                 node_for(("cell", cell.cid), 1, state)
     # isolated 1-faces of 2-cells with no corner at x cannot occur: every
     # 1-face containing x meets x at a corner of each incident 2-cell.
-    return LinkSpace(comp, x, "graph", nodes, arcs)
+    return LinkSpace(comp, x, nodes, arcs)
 
 
 # ---------------------------------------------------------------------------
@@ -641,19 +611,7 @@ def ring_points(L: LinkSpace, v, rho: float):
         if abs(L.raw_dist(v, ("node", i)) - rho) <= 1e-12:
             out.append(("node", i))
     for ai, a in enumerate(L.arcs):
-        pieces = L._pieces(v, ai)
-        if not pieces:
-            continue
-        bps = {0.0, a.length}
-        if v[0] == "arc" and v[1] == ai:
-            bps.add(v[2])
-        for (al1, be1) in pieces:
-            for (al2, be2) in pieces:
-                if be1 != be2:
-                    t = (al2 - al1) / (be1 - be2)
-                    if 0 < t < a.length:
-                        bps.add(t)
-        bps = sorted(bps)
+        bps = sorted(set(L._arc_breakpoints(v, ai)[1]))
         for j in range(len(bps) - 1):
             t0, t1 = bps[j], bps[j + 1]
             f0 = L.raw_dist(v, ("arc", ai, t0))
@@ -671,24 +629,20 @@ def find_spherical_tuple(L: LinkSpace, k: int, delta: float,
     Candidates come from a coarse link sample plus exact ring points at
     distance ~pi/2 around accepted members, so successes are certified by
     the exact sup check while the scan stays cheap.  Returns
-    {"v": [...], "vbar": [...]} or None; the best near-miss score inspected
-    is attached as `find_spherical_tuple.last_score`."""
+    {"v": [...], "vbar": [...]} or None."""
     cfg = settings or L.comp.settings
     margin = cfg.strict_margin
     res = max(cfg.angular_resolution, PI / 60)
     pts = L.samples(res)
     if not pts:
-        find_spherical_tuple.last_score = math.inf
         return None
     pts = _farthest_point_order(L, pts)
-    state = {"best": math.inf}
     adm_cache: dict = {}
 
     def adm(p):
         key = p
         if key not in adm_cache:
             vbar, s = _best_opposite(L, p)
-            state["best"] = min(state["best"], s - PI)
             adm_cache[key] = (vbar, s) if (
                 vbar is not None and s < PI + delta - margin) else None
         return adm_cache[key]
@@ -725,9 +679,7 @@ def find_spherical_tuple(L: LinkSpace, k: int, delta: float,
             chosen.pop()
         return False
 
-    found = extend(pts)
-    find_spherical_tuple.last_score = state["best"]
-    if found:
+    if extend(pts):
         return {"v": [c[0] for c in chosen],
                 "vbar": [c[1] for c in chosen]}
     return None
@@ -765,20 +717,3 @@ def suspension_proximity(L: LinkSpace, k: int,
             lo = mid + 1
     return hi * grid
 
-
-def link_report(L: LinkSpace, kmax: int = 3,
-                settings: Settings | None = None) -> dict:
-    """JSON-ready summary: nodes, arcs, diameter, tuple findings per k."""
-    b0, b1 = L.betti()
-    report = {
-        "kind": L.kind,
-        "nodes": len(L.nodes),
-        "arcs": [[a.i, a.j, float(a.length)] for a in L.arcs],
-        "diameter": float(L.diameter()),
-        "betti": [b0, b1],
-        "spherical_tuples": {},
-    }
-    for k in range(1, kmax + 1):
-        prox = suspension_proximity(L, k, settings)
-        report["spherical_tuples"][str(k)] = float(prox)
-    return report

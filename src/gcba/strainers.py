@@ -69,10 +69,6 @@ class StrainerMap:
                 self._cache[key] = hit
         return hit
 
-    def coordinate_paths(self, y: ComplexPoint):
-        eng = geo.engine(self.comp)
-        return [eng.distance(y, p)[1] for p in self.points]
-
 
 # ---------------------------------------------------------------------------
 # strained-point detection
@@ -605,7 +601,6 @@ def extension_exceptional_set(comp: MetricComplex, F: StrainerMap, region,
     eng = geo.engine(comp)
     pts = geo.ball_samples(comp, center, radius, samples, rng)
     exceptional = []
-    best_deltas = []
     for x in pts:
         L = lk.link_at(comp, x)
         vs = directions_to(comp, x, F.points)
@@ -636,7 +631,6 @@ def extension_exceptional_set(comp: MetricComplex, F: StrainerMap, region,
                 break
         if not extended:
             exceptional.append(x)
-            best_deltas.append(lk.find_spherical_tuple.last_score)
     # fiberwise counts at the map's resolution
     fibers: dict = {}
     for x in exceptional:

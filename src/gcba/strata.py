@@ -11,13 +11,13 @@ concentrates on the ball and the reported standard error is honest.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from . import geodesics as geo
 from . import links as lk
-from .complexes import ComplexPoint, MetricComplex, star, vertex_point
+from .complexes import ComplexPoint, MetricComplex
 from .config import Settings
 
 
@@ -121,9 +121,6 @@ def regular_set(comp: MetricComplex, k: int, delta: float,
     rep = strata(comp)
     regular = []
     singular = []
-    closure_units = set()
-    for u in rep.parts.get(k, []):
-        closure_units.add(id(u))
     for u in rep.units:
         if u["star_dim"] != k:
             continue

@@ -10,6 +10,11 @@ from gcba import cli, corpus
 CORPUS = os.path.join(os.path.dirname(__file__), "..", "corpus")
 
 
+# one regular unit tetrahedron: dimension 3, rejected at load
+TETRAHEDRON = {"kappa": 0.0,
+               "simplices": [{"dim": 3, "lengths": (1 - np.eye(4)).tolist()}]}
+
+
 def path(name):
     return os.path.join(CORPUS, name + ".json")
 
@@ -24,6 +29,10 @@ def test_validate_exit_codes(tmp_path):
     assert cli.main(["validate", path("bad_triangle"),
                      "--json", str(tmp_path / "d.json")]) == 3
     assert cli.main(["validate", str(tmp_path / "missing.json")]) == 3
+    tet = tmp_path / "tetrahedron.json"
+    tet.write_text(json.dumps(TETRAHEDRON))
+    assert cli.main(["validate", str(tet),
+                     "--json", str(tmp_path / "e.json")]) == 3
     rep = json.loads((tmp_path / "b.json").read_text())
     assert len(rep["offending_faces"]) == 9
 

@@ -122,6 +122,11 @@ def test_serialization_roundtrip(tmp_path, theta_s1):
     assert text1 == text2
 
 
+# one regular unit tetrahedron: dimension 3, rejected at load
+TETRAHEDRON = {"kappa": 0.0,
+               "simplices": [{"dim": 3, "lengths": (1 - np.eye(4)).tolist()}]}
+
+
 def test_parse_errors(tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
@@ -129,6 +134,8 @@ def test_parse_errors(tmp_path):
         load_complex(str(bad))
     with pytest.raises(InputError):
         complex_from_json_dict({"kappa": 1.0, "simplices": []})
+    with pytest.raises(InputError, match="dimension >= 3"):
+        complex_from_json_dict(TETRAHEDRON)
 
 
 def test_tiny_ball_radius_guard(torus):

@@ -133,6 +133,12 @@ def test_thin_torus_same_cell_wraparound():
         assert p.start == x and p.end == y
 
 
+def test_engine_kept_for_equal_settings(torus):
+    # an equal Settings object must not rebuild the engine and drop its caches
+    eng = geo.engine(torus)
+    assert geo.engine(torus, torus.settings.replace()) is eng
+
+
 def test_symmetry_and_triangle_inequality(theta_s1, rng):
     pts = [square_point(theta_s1, int(rng.integers(0, 3)),
                         *rng.random(2)) for _ in range(6)]

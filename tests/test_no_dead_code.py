@@ -1,0 +1,69 @@
+"""Guard against dead code in the library.
+
+Every top-level function and class, and every method other than dunders, of
+`src/gcba/*.py` must be named somewhere in `src/`, `tests/` or `bench/`
+besides its own definition.  A name counts as used when it appears as a
+name, an attribute, an imported name or a word inside a string constant (the
+benchmark tracer locates its targets by strings such as
+"GeodesicEngine.distance").
+"""
+
+from __future__ import annotations
+
+import ast
+import re
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+SEARCHED = ("src", "tests", "bench")
+WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
+
+
+def _definitions(tree: ast.Module):
+    """(qualified name, name) of top-level functions and classes and of the
+    non-dunder methods of top-level classes."""
+    defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    for node in tree.body:
+        if not isinstance(node, defs):
+            continue
+        yield node.name, node.name
+        if isinstance(node, ast.ClassDef):
+            for item in node.body:
+                if isinstance(item, defs) and not (
+                        item.name.startswith("__")
+                        and item.name.endswith("__")):
+                    yield f"{node.name}.{item.name}", item.name
+
+
+def _used_names(tree: ast.Module) -> set[str]:
+    used: set[str] = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Name):
+            used.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            used.add(node.attr)
+        elif isinstance(node, ast.alias):
+            used.update(node.name.split("."))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str):
+            used.update(WORD.findall(node.value))
+    return used
+
+
+def unused_definitions(root: Path = ROOT) -> list[str]:
+    trees = {}
+    for top in SEARCHED:
+        for path in sorted((root / top).rglob("*.py")):
+            trees[path] = ast.parse(path.read_text(), filename=str(path))
+    used: set[str] = set()
+    for tree in trees.values():
+        used |= _used_names(tree)
+    out = []
+    for path in sorted((root / "src" / "gcba").glob("*.py")):
+        for qualname, name in _definitions(trees[path]):
+            if name not in used:
+                out.append(f"{path.name}:{qualname}")
+    return out
+
+
+def test_every_definition_is_named_somewhere():
+    assert unused_definitions() == []
