@@ -60,8 +60,7 @@ def _manifest(args, outputs, t0):
     return {
         "command": " ".join(sys.argv[1:]),
         "schema_version": 1,
-        "config": load_settings(args.config).replace(
-            seed=args.seed).to_dict(),
+        "config": _settings(args).to_dict(),
         "input_sha256": {p: _sha(p) for p in ([args.input]
                                               if hasattr(args, "input") else
                                               [args.manifest])},
@@ -301,7 +300,12 @@ def _strata_svg(comp, rep, reg, path):
 
 
 def _settings(args) -> Settings:
-    return load_settings(args.config).replace(seed=args.seed)
+    """The --config settings with --seed; a rejected file is an input error."""
+    try:
+        cfg = load_settings(args.config)
+    except ValueError as exc:
+        raise InputError(f"settings file {args.config}: {exc}") from exc
+    return cfg.replace(seed=args.seed)
 
 
 def _finish(args, outputs, t0):

@@ -175,9 +175,12 @@ class Gluing:
 
 
 class MetricComplex:
-    """Immutable validated piecewise-Euclidean Delta-complex (kappa <= 0).
+    """Validated piecewise-Euclidean Delta-complex (kappa <= 0).
 
-    All queries are read-only; instances are safe to share across threads.
+    The cells, gluings and faces do not change after construction, but the
+    geodesic engine (`_geodesic_engine`), the link cache (`_link_cache`) and
+    the candidate-cell cache (`_cand_cells`) are attached lazily and mutated
+    by queries, so concurrent use is not safe.
     """
 
     def __init__(self, cells: list[Cell], gluings: list[Gluing], kappa: float,

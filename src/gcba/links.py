@@ -5,11 +5,18 @@ exact metric graph: nodes are directions along incident edges, arcs are the
 planar corner angles of incident 2-cells (an interior point of a 2-cell gets
 a full circle, an edge-interior point two poles joined by one length-pi arc
 per incident cell).  All distances are clamped at pi, the diameter of any
-nontrivial space of directions.  The distance from a link point is piecewise
-linear along each arc, with the breakpoints `LinkSpace._arc_breakpoints`
-lists, so suprema of w -> d(v,w) + d(w,vbar), antipode sets and distance
-rings are solved exactly and the delta-spherical checks below are
-exhaustive.
+nontrivial space of directions.
+
+Point sets are held in one array form, `_Form`: per point its arc (negative
+for a node) and its distances t, tj along it to the arc's ends i, j.  The
+metric has one implementation, `LinkSpace.dist_matrix`: a point's row of
+distances to the nodes is min(t + D[i], tj + D[j]) over the node-distance
+matrix D (a node's row is its row of D), and its distance to a point s along
+arc b is min(row[b.i] + s, row[b.j] + (len_b - s)), or |t - s| if smaller
+and both lie on b; `raw_dist` and `dist` are its 1x1 case.  Along an arc the
+distance is the min of four lines, linear between the breakpoints `_knots`
+finds, so suprema of w -> d(v,w) + d(w,vbar), antipode sets and distance
+rings are solved exactly and the delta-spherical checks below are exhaustive.
 """
 
 from __future__ import annotations
@@ -17,13 +24,20 @@ from __future__ import annotations
 import heapq
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .complexes import ComplexPoint, MetricComplex
 from .config import Settings
+from .geodesics import _LRU, Direction
 
 PI = math.pi
+# slopes of the four lines whose min is t -> raw_dist(x, ("arc", a, t)): from
+# end i, from end j, and the two branches of |t - t_x| when x lies on arc a
+_SLOPES = np.array([1.0, -1.0, -1.0, 1.0])
+# links kept per complex, least recently used dropped first
+_LINK_CACHE_SIZE = 128
 
 
 class LinkError(Exception):
@@ -47,6 +61,25 @@ class _Arc:
     bp: np.ndarray | None = None  # unit perpendicular toward the arc
 
 
+class _Form(NamedTuple):
+    """Link points in array form: point k lies on arc arc[k] at distances
+    off[k] = (t, length - t) from its ends end[k] = (i, j).  A node n has
+    arc -1 - n (equal only to itself), ends (n, n) and offsets (0, inf)."""
+    arc: np.ndarray      # (P,)
+    end: np.ndarray      # (P, 2)
+    off: np.ndarray      # (P, 2)
+
+
+def _cat(*forms: _Form) -> _Form:
+    return _Form(*(np.concatenate(cols) for cols in zip(*forms)))
+
+
+def _point(F: _Form, k: int) -> tuple:
+    """The link point at index k of F."""
+    return (("node", int(F.end[k, 0])) if F.arc[k] < 0
+            else ("arc", int(F.arc[k]), float(F.off[k, 0])))
+
+
 class LinkSpace:
     """The space of directions at a point, with angular metric (<= pi).
 
@@ -62,7 +95,11 @@ class LinkSpace:
         self.base = base
         self.nodes = nodes
         self.arcs = arcs
+        self._ends = np.array([(a.i, a.j) for a in arcs],
+                              dtype=np.intp).reshape(-1, 2)
+        self._len = np.array([a.length for a in arcs], dtype=float)
         self._D = self._node_dists()
+        self._node_form = self._form([("node", n) for n in range(len(nodes))])
 
     # -- metric -------------------------------------------------------------
 
@@ -83,92 +120,92 @@ class LinkSpace:
         for s in range(n):
             for t, d in _dijkstra(adj, s).items():
                 D[s, t] = d
-        return D
+        # the searches from the two ends of a path may sum its arcs in
+        # different orders; one value keeps the metric symmetric
+        return np.minimum(D, D.T)
 
-    def _pieces(self, p, arc_idx: int):
-        """Linear pieces (alpha, beta) with value alpha + beta*t bounding the
-        raw distance from p to points of arc arc_idx from above; the raw
-        distance is their pointwise min."""
-        a = self.arcs[arc_idx]
-        out = []
-        da = self._point_node_raw(p, a.i)
-        db = self._point_node_raw(p, a.j)
-        if math.isfinite(da):
-            out.append((da, 1.0))
-        if math.isfinite(db):
-            out.append((db + a.length, -1.0))
-        if p[0] == "arc" and p[1] == arc_idx:
-            tv = p[2]
-            out.append((tv, -1.0))    # |t - tv| left branch
-            out.append((-tv, 1.0))    # right branch
-        return out
+    def _form(self, pts) -> _Form:
+        """Array form of a list of link points."""
+        a = np.array([(-1 - p[1], p[1], p[1], 0.0, math.inf)
+                      if p[0] == "node" else
+                      (p[1], self.arcs[p[1]].i, self.arcs[p[1]].j, p[2],
+                       self.arcs[p[1]].length - p[2]) for p in pts],
+                     dtype=float).reshape(-1, 5)
+        return _Form(a[:, 0].astype(np.intp), a[:, 1:3].astype(np.intp),
+                     a[:, 3:])
 
-    def _arc_breakpoints(self, p, arc_idx: int):
-        """(pieces, breakpoints) of the piecewise-linear map
-        t -> raw_dist(p, ("arc", arc_idx, t)), which is linear between
-        consecutive breakpoints.  The breakpoints are the arc ends, then
-        every pairwise crossing of the `_pieces` inside the arc, in the order
-        found (with repeats).  p's own t, when p lies inside the arc, is
-        among the crossings: the two branches of |t - tv| cross there.
-        Both lists are empty when p does not reach the arc."""
-        pieces = self._pieces(p, arc_idx)
-        if not pieces:
-            return [], []
-        length = self.arcs[arc_idx].length
-        out = [0.0, length]
-        for (al1, be1) in pieces:
-            for (al2, be2) in pieces:
-                if be1 != be2:
-                    t = (al2 - al1) / (be1 - be2)
-                    if 0 < t < length:
-                        out.append(t)
-        return pieces, out
+    def _on_arcs(self, arc: np.ndarray, t: np.ndarray) -> _Form:
+        """Array form of the points ("arc", arc[k], t[k])."""
+        return _Form(arc, self._ends[arc],
+                     np.stack([t, self._len[arc] - t], axis=-1))
 
-    def _point_node_raw(self, p, node: int) -> float:
-        if p[0] == "node":
-            return float(self._D[p[1], node])
-        a = self.arcs[p[1]]
-        t = p[2]
-        best = math.inf
-        if math.isfinite(self._D[a.i, node]):
-            best = min(best, t + self._D[a.i, node])
-        if math.isfinite(self._D[a.j, node]):
-            best = min(best, (a.length - t) + self._D[a.j, node])
-        return best
+    def _rows(self, F: _Form) -> np.ndarray:
+        """Raw distances from each point of F to every node."""
+        X = self._D[F.end] + F.off[..., None]
+        return np.minimum(X[:, 0], X[:, 1])
+
+    def dist_matrix(self, P, Q, cap: float = PI) -> np.ndarray:
+        """Distances from each point of P (rows) to each point of Q
+        (columns), clamped at cap (math.inf for raw distances).  P and Q are
+        lists of link points or `_Form`s.  Entry (p, q) is summed from p's
+        row, so entry (q, p) can differ from it in the last bit."""
+        P = P if isinstance(P, _Form) else self._form(P)
+        Q = Q if isinstance(Q, _Form) else self._form(Q)
+        X = self._rows(P)[:, Q.end] + Q.off
+        M = np.minimum(X[..., 0], X[..., 1])
+        same = P.arc[:, None] == Q.arc
+        if same.any():
+            M = np.where(same, np.minimum(
+                M, np.abs(P.off[:, :1] - Q.off[:, 0])), M)
+        return np.minimum(M, cap)
 
     def raw_dist(self, p, q) -> float:
-        if p[0] == "node" and q[0] == "node":
-            return float(self._D[p[1], q[1]])
-        if q[0] == "node":
-            p, q = q, p
-        if p[0] == "node":
-            a = self.arcs[q[1]]
-            t = q[2]
-            cands = [self._point_node_raw(p, a.i) + t,
-                     self._point_node_raw(p, a.j) + (a.length - t)]
-            return min(cands)
-        # arc-arc
-        pa, qa = self.arcs[p[1]], self.arcs[q[1]]
-        t, s = p[2], q[2]
-        best = math.inf
-        if p[1] == q[1]:
-            best = abs(t - s)
-        for (cn, cd) in ((pa.i, t), (pa.j, pa.length - t)):
-            for (dn, dd) in ((qa.i, s), (qa.j, qa.length - s)):
-                if math.isfinite(self._D[cn, dn]):
-                    best = min(best, cd + self._D[cn, dn] + dd)
-        return best
+        return float(self.dist_matrix([p], [q], math.inf)[0, 0])
 
     def dist(self, p, q) -> float:
-        return min(self.raw_dist(p, q), PI)
+        return float(self.dist_matrix([p], [q])[0, 0])
+
+    def _knots(self, F: _Form, caps: bool = False):
+        """Breakpoints inside every arc a of t -> raw_dist(x, ("arc", a, t))
+        for each point x of F, as an (X, A, 4) array (X, A, 8 with caps), nan
+        where absent, and the (X, A) mask of the arcs x reaches.  The distance
+        is the min of four lines alpha + slope * t (`_SLOPES`; a line is
+        absent when x misses the arc's end or the arc), so it is linear
+        between their crossings; `caps` adds where each line reaches pi."""
+        R = self._rows(F)
+        tx = np.where(F.arc[:, None] == np.arange(len(self.arcs)),
+                      F.off[:, :1], np.nan)
+        al = np.stack([R[:, self._ends[:, 0]], R[:, self._ends[:, 1]]
+                       + self._len, tx, -tx], axis=-1)
+        al[np.isinf(al)] = np.nan      # an end x does not reach
+        # each rising line (0, 3) against each falling one (1, 2)
+        kn = (al[..., [1, 2, 1, 2]] - al[..., [0, 0, 3, 3]]) / 2.0
+        if caps:
+            kn = np.concatenate([kn, (PI - al) / _SLOPES], axis=-1)
+        inside = (kn > 0) & (kn < self._len[:, None])
+        return np.where(inside, kn, np.nan), ~np.isnan(al).all(axis=-1)
+
+    def _profile(self, v, cap: float):
+        """Distances from v, clamped at cap: to each node (a list), and along
+        each arc v reaches as (arc, breakpoints, distances there); between
+        consecutive breakpoints the raw distance is linear."""
+        V = self._form([v])
+        kn, reach = self._knots(V)
+        arcs = np.flatnonzero(reach[0])
+        bps = [sorted({0.0, self.arcs[a].length,
+                       *kn[0, a][~np.isnan(kn[0, a])].tolist()})
+               for a in arcs.tolist()]
+        along = self._on_arcs(np.repeat(arcs, [len(b) for b in bps]),
+                              np.array([t for b in bps for t in b]))
+        d = self.dist_matrix(V, _cat(self._node_form, along), cap)[0].tolist()
+        cut = np.cumsum([len(self.nodes)] + [len(b) for b in bps]).tolist()
+        return d[:cut[0]], [(a, b, d[c0:c1]) for a, b, c0, c1
+                            in zip(arcs.tolist(), bps, cut, cut[1:])]
 
     def diameter(self) -> float:
         pts = self.samples(PI / 24)
-        best = 0.0
-        for i in range(len(pts)):
-            for j in range(i + 1, len(pts)):
-                best = max(best, self.dist(pts[i], pts[j]))
-        return best
+        M = self.dist_matrix(pts, pts)
+        return float(M[np.triu_indices(len(pts), 1)].max(initial=0.0))
 
     def girth(self) -> float:
         """Length of the shortest cycle of the underlying metric graph
@@ -222,34 +259,34 @@ class LinkSpace:
 
     # -- exact sup of d(v, .) + d(., vbar) -------------------------------------
 
-    def max_sum(self, v, vbar):
-        """Exact (sup, argmax) of w -> dist(v,w) + dist(w,vbar): the sum is
-        linear between the breakpoints of both distances and the points
-        where either reaches the pi cap."""
-        best = self.dist(v, vbar)
-        arg = vbar
-        for i in range(len(self.nodes)):
-            w = ("node", i)
-            s = self.dist(v, w) + self.dist(w, vbar)
-            if s > best:
-                best, arg = s, w
-        for ai, a in enumerate(self.arcs):
-            cand = {0.0, a.length}
-            for p in (v, vbar):
-                pieces, bps = self._arc_breakpoints(p, ai)
-                for (al1, be1) in pieces:
-                    # pi-cap crossing of each piece
-                    if be1 != 0.0:
-                        t = (PI - al1) / be1
-                        if 0 < t < a.length:
-                            cand.add(t)
-                cand.update(bps)
-            for t in cand:
-                w = ("arc", ai, t)
-                s = self.dist(v, w) + self.dist(w, vbar)
-                if s > best:
-                    best, arg = s, w
-        return best, arg
+    def max_sum(self, v, vbars):
+        """Exact sup and argmax of w -> dist(v,w) + dist(w,vbar) for each vbar
+        of vbars, as (array of sups, list of argmaxes).  The sum is linear
+        between the breakpoints of both distances and the points where either
+        reaches the pi cap, so it is evaluated at the nodes, the arc ends and
+        those points: v's serve every vbar, each vbar's own serve it alone."""
+        V, B = self._form([v]), self._form(vbars)
+        m, A = len(vbars), len(self.arcs)
+        kn, _ = self._knots(_cat(V, B), caps=True)
+        ts = np.concatenate([np.zeros((A, 1)), self._len[:, None], kn[0]], 1)
+        sa, sk = np.nonzero(~np.isnan(ts))
+        W = _cat(self._node_form, self._on_arcs(sa, ts[sa, sk]))
+        own = self._on_arcs(np.broadcast_to(np.arange(A)[:, None],
+                                            kn[1:].shape).ravel(),
+                            kn[1:].ravel())
+        nw, k = len(W.arc), A * kn.shape[2]
+        WO = _cat(W, own)
+        d1 = self.dist_matrix(V, _cat(B, WO))[0]   # from v to B, W, own
+        d2 = self.dist_matrix(WO, B)                # from W and own to B
+        so = (d1[m + nw:] +
+              d2[nw + np.arange(m * k), np.repeat(np.arange(m), k)])
+        s = np.concatenate([d1[None, :m], d1[m:m + nw, None] + d2[:nw],
+                            np.where(np.isnan(so), -math.inf, so)
+                            .reshape(m, k).T])
+        best = np.argmax(s, axis=0)
+        args = [_point(WO, r - 1 + (c * k if r > nw else 0)) if r else
+                vbars[c] for c, r in enumerate(best.tolist())]
+        return s[best, np.arange(m)], args
 
     # -- antipodes ---------------------------------------------------------------
 
@@ -257,17 +294,12 @@ class LinkSpace:
         """Clusters of {w : d(v,w) >= pi - tol}: list of clusters, each a dict
         with point lists, a representative (max distance) and a center."""
         thresh = PI - tol
-        items = []   # (kind, data, dmax, argmax)
-        for i in range(len(self.nodes)):
-            d = self.raw_dist(v, ("node", i))
-            if min(d, PI) >= thresh:
-                items.append(("node", i, min(d, PI), ("node", i)))
-        for ai in range(len(self.arcs)):
-            bps = sorted(set(self._arc_breakpoints(v, ai)[1]))
-            for k in range(len(bps) - 1):
-                t0, t1 = bps[k], bps[k + 1]
-                f0 = min(self.raw_dist(v, ("arc", ai, t0)), PI)
-                f1 = min(self.raw_dist(v, ("arc", ai, t1)), PI)
+        node_d, along = self._profile(v, PI)
+        # (kind, data, dmax, argmax)
+        items = [("node", i, d, ("node", i))
+                 for i, d in enumerate(node_d) if d >= thresh]
+        for ai, bps, f in along:
+            for t0, t1, f0, f1 in zip(bps, bps[1:], f, f[1:]):
                 # linear on [t0, t1]
                 lo, hi = None, None
                 if f0 >= thresh and f1 >= thresh:
@@ -281,46 +313,28 @@ class LinkSpace:
                     argt = (lo if (f0 >= f1) else hi)
                     items.append(("interval", (ai, lo, hi), dmax,
                                   ("arc", ai, argt)))
-        # cluster by adjacency
-        m = len(items)
-        parent = list(range(m))
-
-        def find(i):
-            while parent[i] != i:
-                parent[i] = parent[parent[i]]
-                i = parent[i]
-            return i
-
-        def touch(i, j) -> bool:
-            gap = 1e-9
-            pi_, pj_ = items[i], items[j]
-            pts_i = [("node", pi_[1])] if pi_[0] == "node" else [
-                ("arc", pi_[1][0], pi_[1][1]), ("arc", pi_[1][0], pi_[1][2])]
-            pts_j = [("node", pj_[1])] if pj_[0] == "node" else [
-                ("arc", pj_[1][0], pj_[1][1]), ("arc", pj_[1][0], pj_[1][2])]
-            for a_ in pts_i:
-                for b_ in pts_j:
-                    if self.raw_dist(a_, b_) <= gap:
-                        return True
-            return False
-
-        for i in range(m):
-            for j in range(i + 1, m):
-                if find(i) != find(j) and touch(i, j):
-                    parent[find(i)] = find(j)
+        if not items:
+            return []
+        # cluster items whose end points touch, by transitive closure
+        ends = [[("node", it[1])] if it[0] == "node" else
+                [("arc", it[1][0], it[1][1]), ("arc", it[1][0], it[1][2])]
+                for it in items]
+        pts = [p for e in ends for p in e]
+        one = np.repeat(np.eye(len(items)), [len(e) for e in ends], axis=0)
+        touch = one.T @ (self.dist_matrix(pts, pts, math.inf) <= 1e-9) @ one
+        link = np.triu(touch > 0, 1)
+        link |= link.T | np.eye(len(items), dtype=bool)
+        for _ in range(len(items).bit_length()):
+            link = link @ link
         clusters: dict[int, list] = {}
-        for i in range(m):
-            clusters.setdefault(find(i), []).append(items[i])
+        for it, root in zip(items, np.argmax(link, axis=1).tolist()):
+            clusters.setdefault(root, []).append(it)
         out = []
         for members in clusters.values():
             rep = max(members, key=lambda it: it[2])
-            centers = []
-            for it in members:
-                if it[0] == "node":
-                    centers.append(("node", it[1]))
-                else:
-                    ai, lo, hi = it[1]
-                    centers.append(("arc", ai, 0.5 * (lo + hi)))
+            centers = [("node", it[1]) if it[0] == "node" else
+                       ("arc", it[1][0], 0.5 * (it[1][1] + it[1][2]))
+                       for it in members]
             out.append({"members": members, "rep": rep[3],
                         "max_dist": rep[2], "centers": centers})
         return out
@@ -329,7 +343,6 @@ class LinkSpace:
 
     def locate(self, d) -> tuple:
         """Link point of a Direction based at this link's base point."""
-        from .geodesics import Direction
         if not isinstance(d, Direction):
             return d
         comp = self.comp
@@ -413,8 +426,7 @@ def link_at(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
     """The space of directions at x, an exact metric graph."""
     cache = getattr(comp, "_link_cache", None)
     if cache is None:
-        cache = {}
-        comp._link_cache = cache
+        cache = comp._link_cache = _LRU(_LINK_CACHE_SIZE)
     hit = cache.get(x.key())
     if hit is None:
         hit = cache[x.key()] = _exact_link(comp, x)
@@ -584,41 +596,34 @@ def is_delta_spherical(L: LinkSpace, v, vbar, delta: float,
     """Exhaustive check of sup_w [d(v,w) + d(w,vbar)] < pi + delta.
 
     Returns (ok, worst_witness, sup_value)."""
-    s, arg = L.max_sum(L.locate(v), L.locate(vbar))
-    return (s < PI + delta - margin), arg, s
+    sups, args = L.max_sum(L.locate(v), [L.locate(vbar)])
+    s = float(sups[0])
+    return (s < PI + delta - margin), args[0], s
 
 
-def _best_opposite(L: LinkSpace, v, extra_candidates=()):
-    """Candidate vbar minimizing the sup of the two-sided sum."""
-    cands = list(extra_candidates)
-    for r in L.antipode_regions(v, PI / 2):
-        cands.extend(r["centers"])
-        cands.append(r["rep"])
+def _best_opposite(L: LinkSpace, v):
+    """Candidate vbar minimizing the sup of the two-sided sum, with that
+    sup: the centres and representatives of v's far regions, else every
+    node."""
+    cands = [c for r in L.antipode_regions(v, PI / 2)
+             for c in r["centers"] + [r["rep"]]]
+    cands = cands or [("node", i) for i in range(len(L.nodes))]
     if not cands:
-        cands = [("node", i) for i in range(len(L.nodes))]
-    best = (math.inf, None)
-    for c in cands:
-        s, _ = L.max_sum(v, c)
-        if s < best[0]:
-            best = (s, c)
-    return best[1], best[0]
+        return None, math.inf
+    sups, _ = L.max_sum(v, cands)
+    i = int(np.argmin(sups))
+    return cands[i], float(sups[i])
 
 
 def ring_points(L: LinkSpace, v, rho: float):
     """Exact points at raw link distance rho from v (solved per arc)."""
-    out = []
-    for i in range(len(L.nodes)):
-        if abs(L.raw_dist(v, ("node", i)) - rho) <= 1e-12:
-            out.append(("node", i))
-    for ai, a in enumerate(L.arcs):
-        bps = sorted(set(L._arc_breakpoints(v, ai)[1]))
-        for j in range(len(bps) - 1):
-            t0, t1 = bps[j], bps[j + 1]
-            f0 = L.raw_dist(v, ("arc", ai, t0))
-            f1 = L.raw_dist(v, ("arc", ai, t1))
+    node_d, along = L._profile(v, math.inf)
+    out = [("node", i) for i, d in enumerate(node_d) if abs(d - rho) <= 1e-12]
+    for ai, bps, f in along:
+        for t0, t1, f0, f1 in zip(bps, bps[1:], f, f[1:]):
             if (f0 - rho) * (f1 - rho) <= 0 and f0 != f1:
                 t = t0 + (rho - f0) / (f1 - f0) * (t1 - t0)
-                out.append(("arc", ai, min(max(t, 0.0), a.length)))
+                out.append(("arc", ai, min(max(t, 0.0), L.arcs[ai].length)))
     return out
 
 
@@ -632,48 +637,44 @@ def find_spherical_tuple(L: LinkSpace, k: int, delta: float,
     {"v": [...], "vbar": [...]} or None."""
     cfg = settings or L.comp.settings
     margin = cfg.strict_margin
-    res = max(cfg.angular_resolution, PI / 60)
-    pts = L.samples(res)
+    pts = L.samples(max(cfg.angular_resolution, PI / 60))
     if not pts:
         return None
     pts = _farthest_point_order(L, pts)
     adm_cache: dict = {}
 
     def adm(p):
-        key = p
-        if key not in adm_cache:
+        if p not in adm_cache:
             vbar, s = _best_opposite(L, p)
-            adm_cache[key] = (vbar, s) if (
+            adm_cache[p] = (vbar, s) if (
                 vbar is not None and s < PI + delta - margin) else None
-        return adm_cache[key]
+        return adm_cache[p]
 
-    def cross_ok(p, bp, q, bq) -> bool:
-        win_hi = PI / 2 + delta - margin
-        d = L.dist(p, q)
-        if not (PI / 2 - 2 * delta < d < win_hi):
-            return False
-        return (L.dist(p, bq) < win_hi and L.dist(q, bp) < win_hi
-                and L.dist(bp, bq) < win_hi)
-
+    win_hi = PI / 2 + delta - margin
     chosen: list = []
     rings_made = [0]
 
     def extend(cands) -> bool:
         if len(chosen) == k:
             return True
-        for p in cands:
-            a = adm(p)
-            if a is None:
-                continue
-            if not all(cross_ok(p, a[0], q, b) for (q, b) in chosen):
+        # candidates p in the pi/2 window of every chosen pair (q, bq) ...
+        qs, bqs = [c[0] for c in chosen], [c[1] for c in chosen]
+        near = L.dist_matrix(cands, qs + bqs)
+        fit = (np.all(near < win_hi, axis=1) &
+               np.all(near[:, :len(chosen)] > PI / 2 - 2 * delta, axis=1))
+        for p, p_fits in zip(cands, fit.tolist()):
+            a = adm(p) if p_fits else None
+            # ... whose opposite is in it too
+            if a is None or chosen and not (
+                    np.all(L.dist_matrix(qs, [a[0]]) < win_hi)
+                    and np.all(L.dist_matrix([a[0]], bqs) < win_hi)):
                 continue
             chosen.append((p, a[0]))
             nxt = list(cands)
             if len(chosen) < k and rings_made[0] < 12:
                 rings_made[0] += 1
-                ring = ring_points(L, p, PI / 2) + \
-                    ring_points(L, p, PI / 2 - min(delta / 2, PI / 8))
-                nxt = ring + nxt
+                nxt = (ring_points(L, p, PI / 2) + ring_points(
+                    L, p, PI / 2 - min(delta / 2, PI / 8)) + nxt)
             if extend(nxt):
                 return True
             chosen.pop()
@@ -686,18 +687,17 @@ def find_spherical_tuple(L: LinkSpace, k: int, delta: float,
 
 
 def _farthest_point_order(L: LinkSpace, pts):
-    if not pts:
-        return pts
-    order = [pts[0]]
-    rest = list(pts[1:])
-    dist = [L.dist(p, order[0]) for p in rest]
-    while rest:
-        i = int(np.argmax(dist))
-        order.append(rest.pop(i))
-        dist.pop(i)
-        for j, p in enumerate(rest):
-            dist[j] = min(dist[j], L.dist(p, order[-1]))
-    return order
+    """pts reordered greedily, each next point farthest from those before."""
+    M = L.dist_matrix(pts, pts)
+    left = np.arange(len(pts)) > 0
+    near = M[:, 0]
+    order = [0]
+    for _ in range(len(pts) - 1):
+        i = int(np.argmax(np.where(left, near, -1.0)))
+        order.append(i)
+        left[i] = False
+        near = np.minimum(near, M[:, i])
+    return [pts[i] for i in order]
 
 
 def suspension_proximity(L: LinkSpace, k: int,

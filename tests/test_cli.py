@@ -33,6 +33,11 @@ def test_validate_exit_codes(tmp_path):
     tet.write_text(json.dumps(TETRAHEDRON))
     assert cli.main(["validate", str(tet),
                      "--json", str(tmp_path / "e.json")]) == 3
+    # a settings file with a key Settings does not have
+    old = tmp_path / "old.json"
+    old.write_text(json.dumps({"geodesic_eta": 0.001}))
+    assert cli.main(["validate", path("theta_graph"), "--config", str(old),
+                     "--json", str(tmp_path / "f.json")]) == 3
     rep = json.loads((tmp_path / "b.json").read_text())
     assert len(rep["offending_faces"]) == 9
 

@@ -2,6 +2,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
 from gcba import complexes, corpus, links
 from gcba.corpus import square_point, theta_point, torus_point
@@ -213,3 +214,138 @@ def test_locate_realize_roundtrip(theta_s1):
                       anchor=tuple(geo.engine(theta_s1).bary_from_xy(
                           state[1], state[2])))
     assert L.dist(L.locate(d), p) < 1e-9
+
+
+def test_link_cache_is_bounded():
+    comp = corpus.flat_torus()
+    n = links._LINK_CACHE_SIZE + 10
+    pts = [torus_point(comp, 0.05 + 0.9 * i / n, 0.3) for i in range(n)]
+    first = links.link_at(comp, pts[0])
+    for x in pts[1:]:
+        links.link_at(comp, x)
+    recent = links.link_at(comp, pts[-1])
+    assert len(comp._link_cache) <= links._LINK_CACHE_SIZE
+    assert links.link_at(comp, pts[-1]) is recent
+    assert links.link_at(comp, pts[0]) is not first
+
+
+# -- the array metric against closed forms --------------------------------
+
+def book_complex(m):
+    """m equilateral triangles sharing the edge (0, 1)."""
+    tri = 1 - np.eye(3)
+    gluings = [((0, (0, 1)), (k, (0, 1)), (0, 1)) for k in range(1, m)]
+    return complexes.build_complex([(2, tri)] * m, gluings)
+
+
+def link_points(L, picks):
+    """Link points from (index, fraction) pairs: a node, or a fraction of
+    an arc's length along it."""
+    out = []
+    for idx, frac in picks:
+        idx %= len(L.nodes) + len(L.arcs)
+        if idx < len(L.nodes):
+            out.append(("node", idx))
+        else:
+            a = idx - len(L.nodes)
+            out.append(("arc", a, frac * L.arcs[a].length))
+    return out
+
+
+def cycle_coordinate(L):
+    """Position along the cycle of each point of a link that is one cycle."""
+    pos, start = {L.arcs[0].i: 0.0}, {}
+    node, x, left = L.arcs[0].i, 0.0, set(range(len(L.arcs)))
+    while left:
+        k = min(k for k in left if node in (L.arcs[k].i, L.arcs[k].j))
+        a = L.arcs[k]
+        left.discard(k)
+        start[k] = (x, 1.0) if a.i == node else (x + a.length, -1.0)
+        node = a.j if a.i == node else a.i
+        x += a.length
+        pos.setdefault(node, x)
+    return lambda p: (pos[p[1]] if p[0] == "node"
+                      else start[p[1]][0] + start[p[1]][1] * p[2])
+
+
+def check_metric(L, pts, closed):
+    M = L.dist_matrix(pts, pts)
+    for a, p in enumerate(pts):
+        for b, q in enumerate(pts):
+            assert abs(M[a, b] - closed(p, q)) <= 1e-12
+            assert M[a, b] == L.dist(p, q)
+    # max_sum attains its sup at the argmax, and no dense sample beats it
+    dense = L.samples(0.01)
+    sups, args = L.max_sum(pts[0], pts)
+    for vbar, s, w in zip(pts, sups, args):
+        assert L.dist(pts[0], w) + L.dist(w, vbar) == s
+        sample = (L.dist_matrix(pts[:1], dense)[0]
+                  + L.dist_matrix(dense, [vbar])[:, 0])
+        assert s >= sample.max() - 1e-12
+
+
+picks = st.lists(st.tuples(st.integers(0, 100), st.floats(0.0, 1.0)),
+                 min_size=1, max_size=6)
+
+
+@given(st.lists(st.floats(0.3, 2.8), min_size=3, max_size=6), picks)
+@hsettings(max_examples=25, deadline=None)
+def test_cone_apex_metric_is_cycle_distance(angles, chosen):
+    comp = cone_complex(angles)
+    L = links.link_at(comp, complexes.point(comp, 0, [1.0, 0.0, 0.0]))
+    assert len(L.arcs) == len(angles)
+    total = sum(a.length for a in L.arcs)
+    h = cycle_coordinate(L)
+
+    def closed(p, q):
+        d = abs(h(p) - h(q)) % total
+        return min(d, total - d, PI)
+
+    check_metric(L, link_points(L, chosen), closed)
+
+
+@given(st.integers(2, 5), picks)
+@hsettings(max_examples=25, deadline=None)
+def test_edge_link_metric_is_suspension(m, chosen):
+    comp = book_complex(m)
+    L = links.link_at(comp, complexes.point(comp, 0, [0.5, 0.5, 0.0]))
+    assert len(L.arcs) == m
+
+    def h(p):
+        return (0.0, PI)[p[1]] if p[0] == "node" else p[2]
+
+    def closed(p, q):
+        if "node" in (p[0], q[0]) or p[1] == q[1]:
+            return abs(h(p) - h(q))
+        return min(h(p) + h(q), 2 * PI - h(p) - h(q))
+
+    check_metric(L, link_points(L, chosen), closed)
+
+
+def loop_raw_dist(L, p, q):
+    """Reference: the least sum over an end of p's arc, the node distance
+    and an end of q's arc (a node is its own end), or |t - s| on one arc."""
+    def ends(x):
+        if x[0] == "node":
+            return [(x[1], 0.0)]
+        a = L.arcs[x[1]]
+        return [(a.i, x[2]), (a.j, a.length - x[2])]
+
+    best = (abs(p[2] - q[2]) if p[0] == q[0] == "arc" and p[1] == q[1]
+            else math.inf)
+    for cn, cd in ends(p):
+        for dn, dd in ends(q):
+            best = min(best, cd + L._D[cn, dn] + dd)
+    return best
+
+
+@given(picks)
+@hsettings(max_examples=25, deadline=None)
+def test_matrix_equals_loop_reference(theta_s1, chosen):
+    # spine vertex of theta x S^1: 8 nodes, 9 arcs, paths over several arcs
+    L = links.link_at(theta_s1, square_point(theta_s1, 0, 0.0, 0.0))
+    pts = link_points(L, chosen)
+    M = L.dist_matrix(pts, pts, math.inf)
+    for a, p in enumerate(pts):
+        for b, q in enumerate(pts):
+            assert M[a, b] == loop_raw_dist(L, p, q) == L.raw_dist(p, q)
