@@ -15,7 +15,6 @@ from . import geodesics as geo
 from . import links as lk
 from . import strainers as st
 from .complexes import ComplexPoint, MetricComplex
-from .config import Settings
 
 
 class ChartError(Exception):
@@ -63,13 +62,11 @@ class Chart:
 
 def build_chart(comp: MetricComplex, s: st.Strainer, x: ComplexPoint,
                 radius: float | None = None, n_samples: int = 24,
-                rng: np.random.Generator | None = None,
-                settings: Settings | None = None) -> Chart:
+                rng: np.random.Generator | None = None) -> Chart:
     """Chart around x from a strainer with opposites: verifies injectivity on
     samples (via close pairs of far points) and collects the tensor field at
     Euclidean sample points."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     if radius is None:
         radius = s.radius_estimate if s.radius_estimate > 0 else \
             0.25 * max(s.delta, 1e-3) * 0.2
@@ -185,14 +182,12 @@ def _refine(comp, pts):
 
 
 def alpha_special(chart: Chart, n_checks: int = 40,
-                  rng: np.random.Generator | None = None,
-                  settings: Settings | None = None) -> dict:
+                  rng: np.random.Generator | None = None) -> dict:
     """g = (1/k) sum of distances to the opposite points; verified to drop
     at rate alpha = 1/(4 k^2) along directions where all F-coordinates are
     nondecreasing (derivatives by first variation)."""
     comp = chart.comp
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     s = chart.strainer
     k = chart.k
     alpha = 1.0 / (4.0 * k * k)
@@ -207,7 +202,7 @@ def alpha_special(chart: Chart, n_checks: int = 40,
             ws = st.directions_to(comp, y, s.opposites)
         except st.StrainerError:
             continue
-        for cand in L.samples(cfg.angular_resolution * 6):
+        for cand in L.samples(comp.settings.angular_resolution * 6):
             if checked >= n_checks:
                 break
             # first variation: D f_i(v) = -cos d(v, direction to p_i)
@@ -223,14 +218,12 @@ def alpha_special(chart: Chart, n_checks: int = 40,
 
 
 def convexity_pushforward_check(chart: Chart, probes=None, samples: int = 10,
-                                rng: np.random.Generator | None = None,
-                                settings: Settings | None = None) -> dict:
+                                rng: np.random.Generator | None = None) -> dict:
     """Midpoint convexity, in the chart, of the 0-special decomposition
     parts h1, h2 of convex distance-function probes (h2 = (L0/alpha) g)."""
     from . import flows
     comp = chart.comp
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     s = chart.strainer
     k = chart.k
     alpha = 1.0 / (4.0 * k * k)
@@ -254,8 +247,7 @@ def convexity_pushforward_check(chart: Chart, probes=None, samples: int = 10,
             target = 0.5 * (va + vb)
             try:
                 track = flows.retract_to_fiber(comp, s, chart.center, y=a,
-                                               target=target, tol=1e-8,
-                                               settings=cfg)
+                                               target=target, tol=1e-8)
             except flows.FlowError:
                 continue
             mid = track.final
@@ -308,14 +300,12 @@ def curve_length(comp: MetricComplex, curve: list[ComplexPoint]) -> float:
 def dc_length_stability(comp: MetricComplex, family: list,
                         limit_curve: list, norm_bound: float,
                         probes: list[ComplexPoint] | None = None,
-                        rng: np.random.Generator | None = None,
-                        settings: Settings | None = None) -> dict:
+                        rng: np.random.Generator | None = None) -> dict:
     """Length convergence along a family of polylines converging pointwise.
 
     Families whose second-difference variation proxy exceeds the declared
     bound are rejected (the hypothesis of the stability statement)."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     if probes is None:
         probes = [geo.uniform_point(comp, rng) for _ in range(16)]
     norms = [dc_norm_proxy(comp, c, probes) for c in family]

@@ -17,7 +17,6 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
-import os
 import sys
 import time
 
@@ -56,17 +55,16 @@ def _sha(path):
     return h.hexdigest()
 
 
-def _manifest(args, outputs, t0):
+def _manifest(args, config, outputs, t0):
     return {
         "command": " ".join(sys.argv[1:]),
         "schema_version": 1,
-        "config": _settings(args).to_dict(),
+        "config": config.to_dict(),
         "input_sha256": {p: _sha(p) for p in ([args.input]
                                               if hasattr(args, "input") else
                                               [args.manifest])},
         "outputs": outputs,
         "wall_time_s": round(time.time() - t0, 3),
-        "threads": os.environ.get("GCBA_THREADS", "1"),
     }
 
 
@@ -87,7 +85,7 @@ def cmd_validate(args) -> int:
     out = _dump(report, args.json)
     if not args.json:
         print(out)
-    _finish(args, {"report": args.json}, t0)
+    _finish(args, comp.settings, {"report": args.json}, t0)
     return PASS if (gc_ok and curv["pass"]) else FAIL
 
 
@@ -121,7 +119,7 @@ def cmd_analyze(args) -> int:
         print(out)
     if args.svg:
         _strata_svg(comp, rep, reg, args.svg)
-    _finish(args, {"report": args.json, "svg": args.svg}, t0)
+    _finish(args, comp.settings, {"report": args.json, "svg": args.svg}, t0)
     ok = dim["topological_dim"] == dim["max_strained_k"]
     return PASS if ok else FAIL
 
@@ -129,7 +127,6 @@ def cmd_analyze(args) -> int:
 def cmd_strainers(args) -> int:
     t0 = time.time()
     comp = load_complex(args.input, _settings(args))
-    cfg = _settings(args)
     rng = np.random.default_rng(args.seed)
     atlas = []
     violations = 0
@@ -137,15 +134,14 @@ def cmd_strainers(args) -> int:
         x = geo.uniform_point(comp, rng)
         best = None
         for k in range(args.kmax, 0, -1):
-            s = strainers.is_strained(comp, x, k, args.delta, reach=0.15,
-                                      settings=cfg)
+            s = strainers.is_strained(comp, x, k, args.delta, reach=0.15)
             if s is not None:
                 best = s
                 break
         if best is None:
             atlas.append({"point": x, "k": 0})
             continue
-        if best.k > cfg.k0_ceiling:
+        if best.k > comp.settings.k0_ceiling:
             violations += 1
         atlas.append({
             "point": x,
@@ -159,21 +155,20 @@ def cmd_strainers(args) -> int:
     out = _dump(report, args.json)
     if not args.json:
         print(out)
-    _finish(args, {"report": args.json}, t0)
+    _finish(args, comp.settings, {"report": args.json}, t0)
     return PASS if violations == 0 else FAIL
 
 
 def cmd_flows(args) -> int:
     t0 = time.time()
     comp = load_complex(args.input, _settings(args))
-    cfg = _settings(args)
     rng = np.random.default_rng(args.seed)
     x = geo.uniform_point(comp, rng)
     s = None
     for _ in range(20):
         s = strainers.is_strained(comp, x, min(args.kmax, comp.dim),
                                   args.delta, reach=0.15,
-                                  estimate_radius=True, settings=cfg)
+                                  estimate_radius=True)
         if s is not None and s.radius_estimate > 0:
             break
         x = geo.uniform_point(comp, rng)
@@ -185,8 +180,7 @@ def cmd_flows(args) -> int:
     failures = 0
     for y in geo.ball_samples(comp, x, s.radius_estimate, args.samples, rng):
         try:
-            track = flows.retract_to_fiber(comp, s, x, y=y, tol=1e-6,
-                                           settings=cfg)
+            track = flows.retract_to_fiber(comp, s, x, y=y, tol=1e-6)
             tracks.append(track.to_json_dict())
         except flows.FlowError:
             failures += 1
@@ -196,7 +190,7 @@ def cmd_flows(args) -> int:
     out = _dump(report, args.json)
     if not args.json:
         print(out)
-    _finish(args, {"report": args.json}, t0)
+    _finish(args, comp.settings, {"report": args.json}, t0)
     return PASS if failures == 0 else FAIL
 
 
@@ -205,9 +199,10 @@ def cmd_converge(args) -> int:
     try:
         with open(args.manifest) as fh:
             man = json.load(fh)
+        cfg = _settings(args)
         members = []
         for m in man["members"]:
-            comp = load_complex(m["path"], _settings(args))
+            comp = load_complex(m["path"], cfg)
             region = None
             if m.get("region"):
                 r = m["region"]
@@ -221,8 +216,7 @@ def cmd_converge(args) -> int:
     except (KeyError, ValueError, TypeError, json.JSONDecodeError) as exc:
         print(f"manifest schema error: {exc}", file=sys.stderr)
         return BADINPUT
-    res = convergence.measure_stability(members, limits,
-                                        settings=_settings(args))
+    res = convergence.measure_stability(members, limits)
     report = {"schema_version": 1,
               "rows": [{"masses": {str(k): v for k, v in r["masses"].items()}}
                        for r in res["rows"]],
@@ -231,38 +225,36 @@ def cmd_converge(args) -> int:
     out = _dump(report, args.json)
     if not args.json:
         print(out)
-    _finish(args, {"report": args.json}, t0)
+    _finish(args, cfg, {"report": args.json}, t0)
     return PASS if res["final_gap"] <= args.tol else FAIL
 
 
 def cmd_chart(args) -> int:
     t0 = time.time()
     comp = load_complex(args.input, _settings(args))
-    cfg = _settings(args)
     rng = np.random.default_rng(args.seed)
     for _ in range(30):
         x = geo.uniform_point(comp, rng)
         s = strainers.is_strained(comp, x, comp.dim, args.delta, reach=0.15,
-                                  estimate_radius=True, settings=cfg)
+                                  estimate_radius=True)
         if s is not None and s.radius_estimate > 0:
             break
     else:
         print("no chartable point found", file=sys.stderr)
         return FAIL
     try:
-        ch = charts.build_chart(comp, s, x, rng=rng, settings=cfg)
+        ch = charts.build_chart(comp, s, x, rng=rng)
     except charts.ChartError as exc:
         print(f"chart construction failed: {exc}", file=sys.stderr)
         return FAIL
     lo, hi = charts.tensor_eigen_range(ch)
     report = {"schema_version": 1, "chart": ch.to_json_dict(),
               "eigen_range": [lo, hi],
-              "alpha_special": charts.alpha_special(ch, rng=rng,
-                                                    settings=cfg)}
+              "alpha_special": charts.alpha_special(ch, rng=rng)}
     out = _dump(report, args.json)
     if not args.json:
         print(out)
-    _finish(args, {"report": args.json}, t0)
+    _finish(args, comp.settings, {"report": args.json}, t0)
     return PASS if report["alpha_special"]["pass"] else FAIL
 
 
@@ -308,9 +300,9 @@ def _settings(args) -> Settings:
     return cfg.replace(seed=args.seed)
 
 
-def _finish(args, outputs, t0):
+def _finish(args, config, outputs, t0):
     if args.manifest_out:
-        _dump(_manifest(args, outputs, t0), args.manifest_out)
+        _dump(_manifest(args, config, outputs, t0), args.manifest_out)
 
 
 def main(argv=None) -> int:

@@ -177,10 +177,11 @@ class Gluing:
 class MetricComplex:
     """Validated piecewise-Euclidean Delta-complex (kappa <= 0).
 
-    The cells, gluings and faces do not change after construction, but the
-    geodesic engine (`_geodesic_engine`), the link cache (`_link_cache`) and
-    the candidate-cell cache (`_cand_cells`) are attached lazily and mutated
-    by queries, so concurrent use is not safe.
+    The complex carries the one `Settings` that every computation on it
+    reads.  The cells, gluings and faces do not change after construction;
+    the geodesic engine (`geodesics.engine`), built on first use, owns every
+    per-complex cache (source trees, edge positions, links, candidate cells)
+    and queries mutate them, so concurrent use is not safe.
     """
 
     def __init__(self, cells: list[Cell], gluings: list[Gluing], kappa: float,
@@ -189,6 +190,7 @@ class MetricComplex:
         self.gluings = gluings
         self.kappa = kappa
         self.settings = settings
+        self._geodesic_engine = None
         self._validate_cells()
         self._build_faces()
         self._validate_gluings()

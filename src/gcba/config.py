@@ -2,7 +2,8 @@
 
 The ceilings stand for the nonconstructive constants of the underlying
 theory (bad-set and exceptional-point cardinalities, strainer-count caps);
-they are asserted, not derived.  Every module takes a Settings instance; the
+they are asserted, not derived.  Each complex carries one Settings instance,
+given to its builder, and every computation on the complex reads it; the
 defaults reproduce the shipped test suite.  A settings file may set only the
 fields below: `load_settings` rejects any other key.
 """

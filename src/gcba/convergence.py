@@ -14,7 +14,6 @@ import numpy as np
 from . import geodesics as geo
 from . import links as lk
 from .complexes import ComplexPoint, MetricComplex
-from .config import Settings
 
 
 class ConvergenceError(Exception):
@@ -67,12 +66,10 @@ def space_from_points(comp: MetricComplex, pts: list[ComplexPoint],
 
 
 def sample_net(comp: MetricComplex, region, eps: float,
-               pool: int = 400, rng: np.random.Generator | None = None,
-               settings: Settings | None = None):
+               pool: int = 400, rng: np.random.Generator | None = None):
     """Greedy farthest-point eps-net of a region (whole complex or a ball)
     with its geodesic distance matrix.  Returns (points, FiniteMetricSpace)."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     eng = geo.engine(comp)
     if region is None:
         cands = [geo.uniform_point(comp, rng) for _ in range(pool)]
@@ -256,12 +253,10 @@ def gh_exact_small(SA: FiniteMetricSpace, SB: FiniteMetricSpace) -> float:
 
 def linf_embed(comp: MetricComplex, center: ComplexPoint, r0: float,
                delta: float, n_pairs: int = 60,
-               rng: np.random.Generator | None = None,
-               settings: Settings | None = None) -> dict:
+               rng: np.random.Generator | None = None) -> dict:
     """Distance map to a delta*r0-net on the distance sphere of radius 2*r0:
     a (1+delta)-biLipschitz embedding into sup-norm space on samples."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     eng = geo.engine(comp)
     L = lk.link_at(comp, center)
     sphere = []
@@ -314,12 +309,17 @@ def linf_embed(comp: MetricComplex, center: ComplexPoint, r0: float,
 def cone_space(L: lk.LinkSpace, pts, radii) -> FiniteMetricSpace:
     """Finite sample of the Euclidean cone over a link: points (t, v)."""
     n = len(pts)
+    # link angles between the points' directions, 0 where one is the apex
+    idx = [i for i, (_, v) in enumerate(pts) if v is not None]
+    vs = [pts[i][1] for i in idx]
+    ang = np.zeros((n, n))
+    ang[np.ix_(idx, idx)] = L.dist_matrix(vs, vs)
+    ang = ang.tolist()
     d = np.zeros((n, n))
     for i in range(n):
-        ti, vi = pts[i]
+        ti = pts[i][0]
         for j in range(i + 1, n):
-            tj, vj = pts[j]
-            a = L.dist(vi, vj) if (vi is not None and vj is not None) else 0.0
+            tj, a = pts[j][0], ang[i][j]
             d[i, j] = d[j, i] = math.sqrt(
                 max(0.0, ti * ti + tj * tj - 2 * ti * tj * math.cos(a)))
     return FiniteMetricSpace(labels=list(range(n)), dmat=d)
@@ -350,8 +350,7 @@ def cone_ball_net(L: lk.LinkSpace, eps: float):
 
 def tangent_convergence(comp: MetricComplex, x: ComplexPoint, radii,
                         eps: float = 0.12,
-                        rng: np.random.Generator | None = None,
-                        settings: Settings | None = None) -> dict:
+                        rng: np.random.Generator | None = None) -> dict:
     """GH upper bounds between rescaled balls (1/r) B_r(x) and the unit ball
     of the tangent cone; the sequence should trend to zero.
 
@@ -359,8 +358,7 @@ def tangent_convergence(comp: MetricComplex, x: ComplexPoint, radii,
     endpoint of the geodesic of length t*r shot along v (the logarithmic
     almost-isometry), so the bound is half the worst distance defect; the
     generic heuristic bound is also computed and the minimum reported."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     L = lk.link_at(comp, x)
     cone_pts, cone = cone_ball_net(L, eps)
     eng = geo.engine(comp)
@@ -399,8 +397,7 @@ def tangent_convergence(comp: MetricComplex, x: ComplexPoint, radii,
 # measure stability
 
 
-def measure_stability(family, limit_masses: dict,
-                      settings: Settings | None = None) -> dict:
+def measure_stability(family, limit_masses: dict) -> dict:
     """Per-k canonical masses along a declared family, with GH certificates.
 
     `family` is a list of dicts {"comp": MetricComplex, "region":
@@ -413,7 +410,7 @@ def measure_stability(family, limit_masses: dict,
         comp = member["comp"]
         region = member.get("region")
         scale = member.get("scale", 1.0)
-        masses = strata.canonical_measure(comp, region, settings=settings)
+        masses = strata.canonical_measure(comp, region)
         scaled = {k: v * scale**k for k, v in masses["masses"].items()}
         rows.append({"masses": scaled, "region": region is not None})
     gaps = []

@@ -14,7 +14,6 @@ import numpy as np
 from . import geodesics as geo
 from . import links as lk
 from .complexes import ComplexPoint, MetricComplex
-from .config import Settings
 from .strainers import Strainer, StrainerMap
 
 
@@ -55,14 +54,12 @@ class FlowTrack:
 
 
 def flow_phi_i(comp: MetricComplex, s: Strainer, i: int, y: ComplexPoint,
-               target_ai: float, tol: float = 1e-9, step_cap: float = None,
-               settings: Settings | None = None):
+               target_ai: float, tol: float = 1e-9, step_cap: float = None):
     """Move y along re-aimed geodesics toward p_i (or the opposite q_i)
     until |d(p_i, y) - target_ai| <= tol.  Returns (endpoint, trace, moved).
 
     The first-variation rate check (1 - 2*delta per unit length) guards each
     step; a non-monotone step aborts the run."""
-    cfg = settings or comp.settings
     eng = geo.engine(comp)
     if step_cap is None:
         step_cap = max(s.radius_estimate / 100.0, 1e-4)
@@ -112,13 +109,12 @@ def flow_phi_i(comp: MetricComplex, s: Strainer, i: int, y: ComplexPoint,
 
 def retract_to_fiber(comp: MetricComplex, s: Strainer, x: ComplexPoint,
                      y: ComplexPoint | None = None, tol: float = 1e-6,
-                     target=None, settings: Settings | None = None) -> FlowTrack:
+                     target=None) -> FlowTrack:
     """Concatenate the coordinate flows until the residual
     M(y) = max_i |f_i(y) - a_i| drops below tol (a_i = f_i(x) by default).
 
     Asserts the per-round residual halving from the construction; records
     the trace, its length and the distances to x along it."""
-    cfg = settings or comp.settings
     eng = geo.engine(comp)
     if y is None:
         y = x
@@ -148,8 +144,7 @@ def retract_to_fiber(comp: MetricComplex, s: Strainer, x: ComplexPoint,
         inner_tol = max(tol / (4.0 * k), res * 1e-3)
         for i in range(k):
             cur, tr, moved = flow_phi_i(comp, s, i, cur, float(target[i]),
-                                        tol=inner_tol, step_cap=cap,
-                                        settings=cfg)
+                                        tol=inner_tol, step_cap=cap)
             trace.extend(tr[1:])
             total += moved
             dists.extend(
@@ -176,15 +171,13 @@ def _residual(eng, s: Strainer, y: ComplexPoint, target) -> float:
 
 
 def fiber_dichotomy(comp: MetricComplex, s: Strainer, region, samples: int = 24,
-                    rng: np.random.Generator | None = None,
-                    settings: Settings | None = None) -> dict:
+                    rng: np.random.Generator | None = None) -> dict:
     """Either the strainer map is injective on the region or every fiber
     meets it in a connected set of diameter comparable to the region.
 
     Fibers are probed by retracting sampled points onto sampled fiber
     values; the spread of the resulting fiber samples is the evidence."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     center, radius = region
     eng = geo.engine(comp)
     pts = geo.ball_samples(comp, center, radius, samples, rng)
@@ -197,8 +190,7 @@ def fiber_dichotomy(comp: MetricComplex, s: Strainer, region, samples: int = 24,
         mates = [a]
         for y in pts[4:4 + 10]:
             try:
-                track = retract_to_fiber(comp, s, a, y=y, tol=1e-6,
-                                         target=fa, settings=cfg)
+                track = retract_to_fiber(comp, s, a, y=y, tol=1e-6, target=fa)
             except FlowError:
                 continue
             d_end, _ = eng.distance(center, track.final, need_path=False)
@@ -294,15 +286,13 @@ def _gf2_rank(B: np.ndarray) -> int:
 
 
 def sphere_vs_link_check(comp: MetricComplex, x: ComplexPoint, radii,
-                         rng: np.random.Generator | None = None,
-                         settings: Settings | None = None) -> dict:
+                         rng: np.random.Generator | None = None) -> dict:
     """Compare (b0, b1) of sampled metric spheres around x with the link's.
 
     Spheres are sampled at net spacing r/20 and triangulated by a Rips graph
     at 2.5x the spacing; agreement across consecutive radii is the
     acceptance signal."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     eng = geo.engine(comp)
     L = lk.link_at(comp, x)
     link_betti = L.betti()
@@ -327,11 +317,12 @@ def sphere_vs_link_check(comp: MetricComplex, x: ComplexPoint, radii,
         n = len(net)
         # comparison lower bound d >= r*sqrt(2-2cos(link angle)) prunes far
         # pairs exactly on curvature-verified complexes
+        angles = L.dist_matrix(tags, tags).tolist()
         dmat = np.full((n, n), 10.0 * scale)
         np.fill_diagonal(dmat, 0.0)
         for i in range(n):
             for j in range(i + 1, n):
-                alpha = L.dist(tags[i], tags[j])
+                alpha = angles[i][j]
                 lower = r * math.sqrt(max(0.0, 2.0 - 2.0 * math.cos(alpha)))
                 if lower > 1.2 * scale:
                     continue

@@ -19,7 +19,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .complexes import ComplexPoint, MetricComplex
-from .config import Settings
 
 
 class GeodesicError(Exception):
@@ -188,10 +187,12 @@ class _LRU(OrderedDict):
             self.popitem(last=False)
 
 
-# bounds of the per-engine caches of source trees (vertex trees excluded)
-# and of edge positions
+# bounds of the per-engine caches of source trees (vertex trees excluded),
+# edge positions, links and candidate cells
 _TREE_CACHE_SIZE = 512
 _EDGE_POS_CACHE_SIZE = 1024
+_LINK_CACHE_SIZE = 128
+_CAND_CELLS_CACHE_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -219,7 +220,10 @@ class _SourceTree:
         self.radius = radius
         self.devs: list[_Dev] = []
         self.by_cell: dict[int, list[int]] = {}
-        self.truncated = False
+        # per-cell development arrays and the direct pieces to each vertex,
+        # filled by queries
+        self._arrays: dict = {}
+        self._to_vertex: dict = {}
         self._build()
 
     def _build(self):
@@ -234,11 +238,13 @@ class _SourceTree:
             dev = _Dev(cid=cid, A=np.eye(2), t=-xy, root_cid=cid, root_xy=xy,
                        bary=np.asarray(bary))
             self._push(dev, seen, queue)
-        cap = self.engine.settings.max_developments
+        cap = self.comp.settings.max_developments
         while head < len(queue):
             if len(self.devs) > cap:
-                self.truncated = True
-                break
+                # a tree cut short can miss the shortest path
+                raise GeodesicError(
+                    f"source tree truncated: {len(self.devs)} developments "
+                    f"passed the cap max_developments={cap}")
             idx = queue[head]
             head += 1
             dev = self.devs[idx]
@@ -285,8 +291,6 @@ class _SourceTree:
         self.by_cell.setdefault(dev.cid, []).append(len(self.devs) - 1)
 
     def _cell_arrays(self, cid: int):
-        if not hasattr(self, "_arrays"):
-            self._arrays = {}
         hit = self._arrays.get(cid)
         if hit is None:
             idxs = self.by_cell.get(cid, [])
@@ -400,18 +404,21 @@ class _RayOutcome:
 
 
 class GeodesicEngine:
-    """Per-complex geodesic machinery with cached source trees.
+    """Per-complex geodesic machinery; `engine(comp)` returns the one engine
+    of a complex, which owns every cache kept for that complex:
 
-    A source point's tree is reused while queries fit inside its radius and
-    rebuilt with a larger radius when one does not, so queries mutate the
-    caches and concurrent use is not safe.  Trees at vertices are kept for
-    the engine's lifetime; other trees and edge positions sit in LRU caches
-    of fixed size.
+    * source trees: a point's tree is reused while queries fit inside its
+      radius and rebuilt with a larger radius when one does not; trees at
+      vertices are kept for the engine's lifetime, others sit in an LRU;
+    * edge positions of points, the vertex table and the chord graph;
+    * links (`links.link_at`) and candidate cells (`candidate_cells`).
+
+    The LRU caches have fixed sizes.  Queries mutate the caches, so
+    concurrent use is not safe.  Settings are read from the complex.
     """
 
-    def __init__(self, comp: MetricComplex, settings: Settings | None = None):
+    def __init__(self, comp: MetricComplex):
         self.comp = comp
-        self.settings = settings or comp.settings
         self._bary = {}
         self._trees = _LRU(_TREE_CACHE_SIZE)
         # `_assemble` reaches the target from every vertex through these
@@ -421,7 +428,10 @@ class GeodesicEngine:
         self._vv = None
         self._vv_radius = -1.0
         self._edge_pos_cache = _LRU(_EDGE_POS_CACHE_SIZE)
+        self._link_cache = _LRU(_LINK_CACHE_SIZE)
+        self._cand_cells = _LRU(_CAND_CELLS_CACHE_SIZE)
         self._chord = None
+        self._vid_cache: dict = {}
         self._scale = max(
             float(np.max(c.lengths)) if c.dim > 0 else 1.0 for c in comp.cells)
 
@@ -640,7 +650,6 @@ class GeodesicEngine:
         comp = self.comp
         verts = self.vertex_points()
         vkeys = {v.key(): i for i, v in enumerate(verts)}
-        self._vid_cache = {}
         for cell in comp.cells:
             for s in range(cell.nverts):
                 root = comp.face_root(cell.cid, (s,))
@@ -800,8 +809,6 @@ class GeodesicEngine:
         within the available trees."""
         d0, segs0 = self._direct(tx, x, y)
         verts = self.vertex_points()
-        if not hasattr(tx, "_to_vertex"):
-            tx._to_vertex = {}
         for i, v in enumerate(verts):
             if i not in tx._to_vertex:
                 tx._to_vertex[i] = self._direct(tx, x, v)
@@ -891,22 +898,20 @@ def _dijkstra(adj, src, with_prev=False):
     return dist
 
 
-def engine(comp: MetricComplex, settings: Settings | None = None) -> GeodesicEngine:
-    eng = getattr(comp, "_geodesic_engine", None)
-    if eng is None or (settings is not None and eng.settings != settings):
-        eng = GeodesicEngine(comp, settings)
-        comp._geodesic_engine = eng
-    return eng
+def engine(comp: MetricComplex) -> GeodesicEngine:
+    """The complex's geodesic engine, built on first use."""
+    if comp._geodesic_engine is None:
+        comp._geodesic_engine = GeodesicEngine(comp)
+    return comp._geodesic_engine
 
 
 # ---------------------------------------------------------------------------
 # public operations
 
 
-def distance(comp: MetricComplex, x: ComplexPoint, y: ComplexPoint,
-             settings: Settings | None = None):
+def distance(comp: MetricComplex, x: ComplexPoint, y: ComplexPoint):
     """Distance and a geodesic path realizing it."""
-    return engine(comp, settings).distance(x, y)
+    return engine(comp).distance(x, y)
 
 
 def comparison_angle(comp: MetricComplex, x: ComplexPoint, y: ComplexPoint,
@@ -971,7 +976,7 @@ def contraction(comp: MetricComplex, x: ComplexPoint, R: float, r: float,
 
 
 def shoot(comp: MetricComplex, x: ComplexPoint, direction: Direction,
-          length: float, settings: Settings | None = None):
+          length: float):
     """Walk a local geodesic from x with the given initial direction.
 
     Returns (GeodesicPath, junction_counts).  Branches are resolved
@@ -988,15 +993,14 @@ def shoot(comp: MetricComplex, x: ComplexPoint, direction: Direction,
                  1.0 if vec[0] >= 0 else -1.0)
     else:
         state = ("ray", cid, anchor @ cell.coords, vec)
-    return shoot_from_state(comp, x, state, length, settings)
+    return shoot_from_state(comp, x, state, length)
 
 
 def shoot_from_state(comp: MetricComplex, x: ComplexPoint, state: tuple,
-                     length: float, settings: Settings | None = None):
+                     length: float):
     """Like `shoot`, starting from a walker state ("edge", cid, t, sgn) or
     ("ray", cid, xy, vec) as produced by the link realization."""
-    eng = engine(comp, settings)
-    cfg = settings or comp.settings
+    eng = engine(comp)
     segs: list = []
     counts: list[int] = []
     rem = length
@@ -1018,7 +1022,7 @@ def shoot_from_state(comp: MetricComplex, x: ComplexPoint, state: tuple,
             back = Direction(base=hit, cid=out.cid,
                              vec=tuple(-np.asarray(out.vec)),
                              anchor=tuple(eng.bary_from_xy(out.cid, out.xy)))
-            state = _continue_past(comp, hit, back, counts, cfg)
+            state = _continue_past(comp, hit, back, counts)
         else:
             _, ecid, tpos, sgn = state
             L = float(comp.cells[ecid].lengths[0, 1])
@@ -1035,17 +1039,18 @@ def shoot_from_state(comp: MetricComplex, x: ComplexPoint, state: tuple,
             hit = ComplexPoint(comp, ecid, b1)
             back = Direction(base=hit, cid=ecid, vec=(-sgn,),
                              anchor=tuple(b1))
-            state = _continue_past(comp, hit, back, counts, cfg)
+            state = _continue_past(comp, hit, back, counts)
     path = eng._finalize_path(segs, x)
     return path, counts
 
 
-def _continue_past(comp, hit, back: Direction, counts, cfg):
+def _continue_past(comp, hit, back: Direction, counts):
     """Continuation states at distance >= pi from `back` in the link at hit."""
     from . import links
     L = links.link_at(comp, hit)
     back_pt = L.locate(back)
-    conts = links.antipodes(L, back_pt, cfg.angle_tolerance * 10 + 1e-9)
+    conts = links.antipodes(L, back_pt,
+                            comp.settings.angle_tolerance * 10 + 1e-9)
     states = [links.realize(L, p) for p in conts]
     states = [s for s in states if s is not None]
     if not states:
@@ -1061,18 +1066,16 @@ def _state_order(state):
     return (state[1], 1, tuple(np.round(state[3], 9)))
 
 
-def extend_geodesic(comp: MetricComplex, path: GeodesicPath, delta: float,
-                    settings: Settings | None = None):
+def extend_geodesic(comp: MetricComplex, path: GeodesicPath, delta: float):
     """Extend a verified local geodesic by arclength delta beyond its end.
 
     Returns (extended_path, continuation_count, per_junction_counts)."""
-    cfg = settings or comp.settings
-    if not path.is_local_geodesic(cfg.angle_tolerance):
+    if not path.is_local_geodesic(comp.settings.angle_tolerance):
         raise GeodesicError("input path fails the local-geodesic certificate")
     d_end = path.direction_at_end()
     if d_end is None:
         raise GeodesicError("cannot extend a trivial path")
-    tail, counts = shoot(comp, path.end, d_end, delta, settings)
+    tail, counts = shoot(comp, path.end, d_end, delta)
     ext = concatenate(path, tail)
     branching = [c for c in counts if c > 1]
     return ext, (branching[0] if branching else 1), counts
@@ -1093,13 +1096,12 @@ def uniform_point(comp: MetricComplex, rng: np.random.Generator) -> ComplexPoint
 
 
 def cat_sample_test(comp: MetricComplex, region, n: int,
-                    rng: np.random.Generator | None = None,
-                    settings: Settings | None = None) -> dict:
+                    rng: np.random.Generator | None = None) -> dict:
     """Sampled comparison test over n random triangles: worst excess of the
     measured angle over the comparison angle, and of the midpoint distance
     over the comparison median.  `region` is a point sampler or None."""
     rng = rng or np.random.default_rng(comp.settings.seed)
-    eng = engine(comp, settings)
+    eng = engine(comp)
     sampler = region if callable(region) else (lambda g: uniform_point(comp, g))
     worst_angle = 0.0
     worst_mid = 0.0
@@ -1165,15 +1167,11 @@ def log_almost_isometry_check(comp: MetricComplex, x: ComplexPoint,
 
 def candidate_cells(comp: MetricComplex, x: ComplexPoint, r: float):
     """Top-dimensional cells that can meet B_r(x) (vertex-distance prune)."""
-    cache = getattr(comp, "_cand_cells", None)
-    if cache is None:
-        cache = {}
-        comp._cand_cells = cache
+    eng = engine(comp)
     key = (x.key(), round(r, 9))
-    hit = cache.get(key)
+    hit = eng._cand_cells.get(key)
     if hit is not None:
         return hit
-    eng = engine(comp)
     verts = eng.vertex_points()
     vdist = [eng.distance(x, vp, need_path=False)[0] for vp in verts]
     vids = eng.vid_map()
@@ -1185,7 +1183,7 @@ def candidate_cells(comp: MetricComplex, x: ComplexPoint, r: float):
         dmin = min(vdist[vids[(c.cid, s)]] for s in range(c.nverts))
         if dmin - diam <= r:
             keep.append(c)
-    cache[key] = keep
+    eng._cand_cells[key] = keep
     return keep
 
 

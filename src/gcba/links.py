@@ -29,15 +29,12 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import ComplexPoint, MetricComplex
-from .config import Settings
-from .geodesics import _LRU, Direction
+from .geodesics import Direction, engine
 
 PI = math.pi
 # slopes of the four lines whose min is t -> raw_dist(x, ("arc", a, t)): from
 # end i, from end j, and the two branches of |t - t_x| when x lies on arc a
 _SLOPES = np.array([1.0, -1.0, -1.0, 1.0])
-# links kept per complex, least recently used dropped first
-_LINK_CACHE_SIZE = 128
 
 
 class LinkError(Exception):
@@ -423,10 +420,9 @@ def _dijkstra(adj: dict[int, list], src: int) -> dict[int, float]:
 
 
 def link_at(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
-    """The space of directions at x, an exact metric graph."""
-    cache = getattr(comp, "_link_cache", None)
-    if cache is None:
-        cache = comp._link_cache = _LRU(_LINK_CACHE_SIZE)
+    """The space of directions at x, an exact metric graph, kept in the
+    geodesic engine's bounded link cache."""
+    cache = engine(comp)._link_cache
     hit = cache.get(x.key())
     if hit is None:
         hit = cache[x.key()] = _exact_link(comp, x)
@@ -627,17 +623,15 @@ def ring_points(L: LinkSpace, v, rho: float):
     return out
 
 
-def find_spherical_tuple(L: LinkSpace, k: int, delta: float,
-                         settings: Settings | None = None):
+def find_spherical_tuple(L: LinkSpace, k: int, delta: float):
     """Search for a delta-spherical k-tuple with opposites.
 
     Candidates come from a coarse link sample plus exact ring points at
     distance ~pi/2 around accepted members, so successes are certified by
     the exact sup check while the scan stays cheap.  Returns
     {"v": [...], "vbar": [...]} or None."""
-    cfg = settings or L.comp.settings
-    margin = cfg.strict_margin
-    pts = L.samples(max(cfg.angular_resolution, PI / 60))
+    margin = L.comp.settings.strict_margin
+    pts = L.samples(max(L.comp.settings.angular_resolution, PI / 60))
     if not pts:
         return None
     pts = _farthest_point_order(L, pts)
@@ -700,18 +694,16 @@ def _farthest_point_order(L: LinkSpace, pts):
     return [pts[i] for i in order]
 
 
-def suspension_proximity(L: LinkSpace, k: int,
-                         settings: Settings | None = None) -> float:
+def suspension_proximity(L: LinkSpace, k: int) -> float:
     """Smallest grid delta admitting a delta-spherical k-tuple (pi + grid if
     none exists even at delta = pi)."""
-    cfg = settings or L.comp.settings
-    grid = cfg.delta_grid
+    grid = L.comp.settings.delta_grid
     lo, hi = 0, int(math.ceil(PI / grid)) + 1
-    if find_spherical_tuple(L, k, hi * grid, cfg) is None:
+    if find_spherical_tuple(L, k, hi * grid) is None:
         return (hi + 1) * grid
     while lo < hi:
         mid = (lo + hi) // 2
-        if find_spherical_tuple(L, k, mid * grid, cfg) is not None:
+        if find_spherical_tuple(L, k, mid * grid) is not None:
             hi = mid
         else:
             lo = mid + 1

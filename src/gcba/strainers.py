@@ -20,7 +20,6 @@ import numpy as np
 from . import geodesics as geo
 from . import links as lk
 from .complexes import ComplexPoint, MetricComplex, star
-from .config import Settings
 
 PI = math.pi
 
@@ -114,16 +113,15 @@ def check_opposite_tuples(L: lk.LinkSpace, vs, ws, delta: float,
 
 
 def is_strained(comp: MetricComplex, x: ComplexPoint, k: int, delta: float,
-                reach: float = 0.2, estimate_radius: bool = False,
-                settings: Settings | None = None) -> Strainer | None:
+                reach: float = 0.2,
+                estimate_radius: bool = False) -> Strainer | None:
     """Search the link of x for a delta-spherical k-tuple and realize it as
     strainer points at distance `reach` (halved until minimizing).
 
     The straining-radius estimate is an extra sampled computation; pass
     estimate_radius=True (or call straining_radius) when it is needed."""
-    cfg = settings or comp.settings
     L = lk.link_at(comp, x)
-    found = lk.find_spherical_tuple(L, k, delta, cfg)
+    found = lk.find_spherical_tuple(L, k, delta)
     if found is None:
         return None
     eng = geo.engine(comp)
@@ -144,7 +142,7 @@ def is_strained(comp: MetricComplex, x: ComplexPoint, k: int, delta: float,
                  angle_matrix=angles)
     if estimate_radius:
         s.radius_estimate = min(r / 2.0, straining_radius(
-            comp, s, n_ball=4, n_probe=4, settings=cfg))
+            comp, s, n_ball=4, n_probe=4))
     else:
         # conservative default scale; refine with straining_radius on demand
         s.radius_estimate = 0.25 * max(s.delta, 1e-3) * r
@@ -170,11 +168,9 @@ def _angle_matrix(comp, x, pts, opps) -> np.ndarray:
     return M
 
 
-def verify_strainer(comp: MetricComplex, s: Strainer,
-                    settings: Settings | None = None):
+def verify_strainer(comp: MetricComplex, s: Strainer):
     """Re-derive the starting directions and check Def. 6.3 at level delta,
     plus consistency of the stored angle matrix with angle()."""
-    cfg = settings or comp.settings
     L = lk.link_at(comp, s.center)
     vs = directions_to(comp, s.center, s.points)
     ws = directions_to(comp, s.center, s.opposites)
@@ -185,24 +181,21 @@ def verify_strainer(comp: MetricComplex, s: Strainer,
 
 
 def is_one_strainer_at(comp: MetricComplex, p: ComplexPoint, x: ComplexPoint,
-                       delta: float,
-                       settings: Settings | None = None) -> bool:
+                       delta: float) -> bool:
     """Is p a (1, delta)-strainer at x: the direction (xp)' is
     delta-spherical in the link of x."""
-    cfg = settings or comp.settings
     if p == x:
         return False
     L = lk.link_at(comp, x)
     _, v = geo.log_map(comp, x, p)
     vpt = L.locate(v)
     vbar, s = lk._best_opposite(L, vpt)
-    return vbar is not None and s < PI + delta - cfg.strict_margin
+    return vbar is not None and s < PI + delta - comp.settings.strict_margin
 
 
 def natural_strainer_radius(comp: MetricComplex, p: ComplexPoint,
                             delta: float, radii=None, n_dirs: int = 8,
-                            rng: np.random.Generator | None = None,
-                            settings: Settings | None = None) -> float:
+                            rng: np.random.Generator | None = None) -> float:
     """Largest grid radius rho such that p is a (1, delta)-strainer at
     sampled points of B_rho(p) - {p}."""
     rng = rng or np.random.default_rng(comp.settings.seed)
@@ -215,7 +208,7 @@ def natural_strainer_radius(comp: MetricComplex, p: ComplexPoint,
         for x in pts:
             if x == p:
                 continue
-            if not is_one_strainer_at(comp, p, x, delta, settings):
+            if not is_one_strainer_at(comp, p, x, delta):
                 ok = False
                 break
         if ok and pts:
@@ -329,16 +322,14 @@ def strainer_jacobian_fd(comp: MetricComplex, F: StrainerMap,
 
 
 def verify_openness(comp: MetricComplex, F: StrainerMap, region, n: int,
-                    rng: np.random.Generator | None = None,
-                    settings: Settings | None = None) -> dict:
+                    rng: np.random.Generator | None = None) -> dict:
     """Empirical Lipschitz and co-Lipschitz constants of F on a ball region.
 
     Lip: max ||F(x)-F(y)|| / d(x,y) over sampled pairs.  co-Lip: targets t
     near F(x) are hit by the retraction flow; the certified witness is
     d(x, flow endpoint) / ||t - F(x)||."""
     from . import flows
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     center, radius = region
     eng = geo.engine(comp)
     pts = geo.ball_samples(comp, center, radius, max(12, n // 8), rng)
@@ -360,8 +351,7 @@ def verify_openness(comp: MetricComplex, F: StrainerMap, region, n: int,
         t = fx + step * rng.uniform(-1.0, 1.0, size=F.k)
         try:
             track = flows.retract_to_fiber(comp, _as_strainer(F, xx), xx,
-                                           target=t, tol=1e-7,
-                                           settings=cfg)
+                                           target=t, tol=1e-7)
         except flows.FlowError:
             failures += 1
             continue
@@ -385,13 +375,11 @@ def _as_strainer(F: StrainerMap, x: ComplexPoint,
 
 def straining_radius(comp: MetricComplex, s: Strainer, radii=None,
                      n_ball: int = 6, n_probe: int = 6,
-                     rng: np.random.Generator | None = None,
-                     settings: Settings | None = None) -> float:
+                     rng: np.random.Generator | None = None) -> float:
     """Largest grid radius eps such that extensions q_i of p_i y beyond
     sampled y in B_eps(x) give opposite (k, 2*delta)-strainers on sampled
     points of B_eps(y)."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     eng = geo.engine(comp)
     reach = float(np.median([eng.distance(s.center, p, need_path=False)[0]
                              for p in s.points]))
@@ -446,12 +434,10 @@ def extend_through(comp: MetricComplex, p: ComplexPoint, y: ComplexPoint,
 
 def bad_set_greedy(comp: MetricComplex, region, delta: float,
                    budget: int = 400,
-                   rng: np.random.Generator | None = None,
-                   settings: Settings | None = None) -> dict:
+                   rng: np.random.Generator | None = None) -> dict:
     """Greedy maximal subset of samples from `region` in which no member is
     a (1, delta)-strainer at another member (vertices tried first)."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     center, radius = region
     eng = geo.engine(comp)
     candidates = []
@@ -473,15 +459,15 @@ def bad_set_greedy(comp: MetricComplex, region, delta: float,
             continue
         bad = True
         for t in chosen:
-            if is_one_strainer_at(comp, t, z, delta, cfg) or \
-               is_one_strainer_at(comp, z, t, delta, cfg):
+            if is_one_strainer_at(comp, t, z, delta) or \
+               is_one_strainer_at(comp, z, t, delta):
                 bad = False
                 break
         if bad:
             chosen.append(z)
-    if len(chosen) > cfg.c0_ceiling:
-        raise StrainerError(
-            f"bad set exceeds the configured C0 ceiling {cfg.c0_ceiling}")
+    if len(chosen) > comp.settings.c0_ceiling:
+        raise StrainerError("bad set exceeds the configured C0 ceiling "
+                            f"{comp.settings.c0_ceiling}")
     return {"points": chosen, "size": len(chosen),
             "budget_exhausted": exhausted}
 
@@ -590,13 +576,11 @@ def bgp_verify(S, idx, L: float) -> bool:
 def extension_exceptional_set(comp: MetricComplex, F: StrainerMap, region,
                               samples: int = 40, delta: float = 0.05,
                               reach: float = 0.2,
-                              rng: np.random.Generator | None = None,
-                              settings: Settings | None = None) -> dict:
+                              rng: np.random.Generator | None = None) -> dict:
     """Sampled points of the region where no candidate extra point yields a
     (k+1, 12*delta)-strainer; reports per-fiber counts and the empirical
     lower bound on ||F(x)-F(x')|| / d(x,x') over close pairs in E."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     center, radius = region
     eng = geo.engine(comp)
     pts = geo.ball_samples(comp, center, radius, samples, rng)
@@ -608,7 +592,7 @@ def extension_exceptional_set(comp: MetricComplex, F: StrainerMap, region,
         # candidates: a net on the link resolves every geometrically
         # distinct extra direction (mirrors the delta*r0-net on the
         # distance sphere plus fiber mates)
-        for cand in L.samples(cfg.angular_resolution * 8):
+        for cand in L.samples(comp.settings.angular_resolution * 8):
             tup = vs + [cand]
             okpair = True
             for i in range(len(tup)):
@@ -622,7 +606,8 @@ def extension_exceptional_set(comp: MetricComplex, F: StrainerMap, region,
             if not okpair:
                 continue
             vbar, s = lk._best_opposite(L, cand)
-            if vbar is None or s >= PI + 12 * delta - cfg.strict_margin:
+            if vbar is None or \
+                    s >= PI + 12 * delta - comp.settings.strict_margin:
                 continue
             ws = [lk._best_opposite(L, v)[0] for v in vs] + [vbar]
             ok, _ = check_opposite_tuples(L, tup, ws, 12 * delta)
@@ -637,7 +622,7 @@ def extension_exceptional_set(comp: MetricComplex, F: StrainerMap, region,
         key = tuple(np.round(F.value(x) / (radius * 0.1)).astype(int))
         fibers.setdefault(key, []).append(x)
     counts = {k: len(v) for k, v in fibers.items()}
-    if counts and max(counts.values()) > cfg.c1_ceiling:
+    if counts and max(counts.values()) > comp.settings.c1_ceiling:
         raise StrainerError("per-fiber exceptional count exceeds C1 ceiling")
     # biLipschitz witness over close pairs
     lower = math.inf

@@ -18,7 +18,6 @@ import numpy as np
 from . import geodesics as geo
 from . import links as lk
 from .complexes import ComplexPoint, MetricComplex
-from .config import Settings
 
 
 class StrataError(Exception):
@@ -108,16 +107,14 @@ def unit_interior_points(comp: MetricComplex, u, n: int,
 
 def regular_set(comp: MetricComplex, k: int, delta: float,
                 samples_per_unit: int = 2, reach: float = 0.15,
-                rng: np.random.Generator | None = None,
-                settings: Settings | None = None) -> dict:
+                rng: np.random.Generator | None = None) -> dict:
     """Units of X^k whose sampled points are (k, delta)-strained, the
     singular complement inside the closure of X^k, and its (k-1)-mass.
 
     The paper's smallness convention for delta is delta0 = 1/(50 n0^2);
     larger deltas are accepted (the check is still well defined)."""
     from . import strainers
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     rep = strata(comp)
     regular = []
     singular = []
@@ -127,8 +124,7 @@ def regular_set(comp: MetricComplex, k: int, delta: float,
         pts = unit_interior_points(comp, u, samples_per_unit, rng)
         ok = True
         for x in pts:
-            s = strainers.is_strained(comp, x, k, delta, reach=reach,
-                                      settings=cfg)
+            s = strainers.is_strained(comp, x, k, delta, reach=reach)
             if s is None:
                 ok = False
                 break
@@ -315,18 +311,17 @@ def ball_mass_1d(comp: MetricComplex, x: ComplexPoint, r: float) -> float:
 
 def canonical_measure(comp: MetricComplex, region=None,
                       target_rel_se: float | None = None,
-                      rng: np.random.Generator | None = None,
-                      settings: Settings | None = None) -> dict:
+                      rng: np.random.Generator | None = None) -> dict:
     """Per-k masses of the canonical measure on the whole complex (exact) or
     restricted to a ball (Monte Carlo for k = 2, exact intervals for k = 1,
     counts for k = 0)."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     if region is None:
         rep = strata(comp)
         return {"masses": dict(rep.masses), "errors": {k: 0.0 for k in rep.masses}}
     x, r = region
-    target = target_rel_se if target_rel_se is not None else cfg.mc_target_rel_error
+    target = (target_rel_se if target_rel_se is not None
+              else comp.settings.mc_target_rel_error)
     masses: dict[int, float] = {}
     errors: dict[int, float] = {}
     rep = strata(comp)
@@ -374,17 +369,15 @@ def cone_unit_mass(L: lk.LinkSpace, k: int) -> float:
 
 
 def density_at(comp: MetricComplex, x: ComplexPoint, k: int, radii,
-               rng: np.random.Generator | None = None,
-               settings: Settings | None = None) -> dict:
+               rng: np.random.Generator | None = None) -> dict:
     """Table of mu^k(B_r(x)) / r^k over decreasing radii, with the tangent
     cone's unit-ball mass as the declared limit."""
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     L = lk.link_at(comp, x)
     limit = cone_unit_mass(L, k)
     rows = []
     for r in sorted(radii, reverse=True):
-        m = canonical_measure(comp, (x, r), rng=rng, settings=cfg)
+        m = canonical_measure(comp, (x, r), rng=rng)
         rows.append({"radius": r, "density": m["masses"].get(k, 0.0) / r**k,
                      "se": m["errors"].get(k, 0.0) / r**k})
     return {"rows": rows, "cone_limit": limit,
@@ -468,13 +461,11 @@ def _net_counts(comp: MetricComplex, scales, pool: int,
 
 
 def dimension_report(comp: MetricComplex, region=None,
-                     rng: np.random.Generator | None = None,
-                     settings: Settings | None = None) -> dict:
+                     rng: np.random.Generator | None = None) -> dict:
     """Topological dimension, box-counting estimate, max strained k, and a
     witness point with round-sphere link."""
     from . import convergence, strainers
-    cfg = settings or comp.settings
-    rng = rng or np.random.default_rng(cfg.seed)
+    rng = rng or np.random.default_rng(comp.settings.seed)
     n = comp.dim
     # box counting from eps-net counts at three scales (vectorized distance
     # upper bound: same-cell chords and chords through the vertex graph)
@@ -492,8 +483,7 @@ def dimension_report(comp: MetricComplex, region=None,
     for x in samples:
         k = kmax + 1
         while k <= n:
-            s = strainers.is_strained(comp, x, k, 1.0 / (4.0 * k),
-                                      reach=0.1, settings=cfg)
+            s = strainers.is_strained(comp, x, k, 1.0 / (4.0 * k), reach=0.1)
             if s is None:
                 break
             kmax = k
@@ -503,8 +493,8 @@ def dimension_report(comp: MetricComplex, region=None,
     overshoot = 0
     for x in samples[:6]:
         k = n + 1
-        if strainers.is_strained(comp, x, k, 1.0 / (4.0 * k), reach=0.1,
-                                 settings=cfg) is not None:
+        if strainers.is_strained(comp, x, k, 1.0 / (4.0 * k),
+                                 reach=0.1) is not None:
             overshoot += 1
     return {"topological_dim": n, "box_counting": slope,
             "max_strained_k": max(kmax, n + 1 if overshoot else kmax),

@@ -6,6 +6,7 @@ import pytest
 
 from gcba import complexes, corpus
 from gcba import geodesics as geo
+from gcba.config import DEFAULTS
 from gcba.corpus import square_point, theta_point, torus_point
 
 
@@ -133,10 +134,43 @@ def test_thin_torus_same_cell_wraparound():
         assert p.start == x and p.end == y
 
 
-def test_engine_kept_for_equal_settings(torus):
-    # an equal Settings object must not rebuild the engine and drop its caches
+def test_engine_kept_with_its_trees(torus):
+    # the complex has one engine: later calls return it with its caches
     eng = geo.engine(torus)
-    assert geo.engine(torus, torus.settings.replace()) is eng
+    x, y = torus_point(torus, 0.13, 0.27), torus_point(torus, 0.61, 0.74)
+    eng.distance(x, y, need_path=False)
+    tree = eng._cached_tree(x.key())
+    assert tree is not None
+    assert geo.engine(torus) is eng
+    assert geo.engine(torus)._cached_tree(x.key()) is tree
+
+
+def test_truncated_tree_raises():
+    # the complex's own Settings reach the engine: a cap of 4 developments
+    # cannot hold the tree of a far pair, and the engine says so
+    x, y = (0.1, 0.1), (0.6, 0.55)
+    capped = corpus.flat_torus(settings=DEFAULTS.replace(max_developments=4))
+    with pytest.raises(geo.GeodesicError, match="max_developments=4"):
+        geo.engine(capped).distance(torus_point(capped, *x),
+                                    torus_point(capped, *y))
+    comp = corpus.flat_torus()
+    d, _ = geo.engine(comp).distance(torus_point(comp, *x),
+                                     torus_point(comp, *y))
+    assert d == pytest.approx(torus_oracle(x, y), abs=1e-9)
+
+
+def test_candidate_cell_cache_is_bounded():
+    comp = corpus.flat_torus()
+    n = geo._CAND_CELLS_CACHE_SIZE + 10
+    x = torus_point(comp, 0.3, 0.4)
+    radii = [0.05 + 0.4 * i / n for i in range(n)]
+    first = geo.candidate_cells(comp, x, radii[0])
+    for r in radii[1:]:
+        geo.candidate_cells(comp, x, r)
+    recent = geo.candidate_cells(comp, x, radii[-1])
+    assert len(geo.engine(comp)._cand_cells) <= geo._CAND_CELLS_CACHE_SIZE
+    assert geo.candidate_cells(comp, x, radii[-1]) is recent
+    assert geo.candidate_cells(comp, x, radii[0]) is not first
 
 
 def test_symmetry_and_triangle_inequality(theta_s1, rng):

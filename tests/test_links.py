@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
 from gcba import complexes, corpus, links
+from gcba import geodesics as geo
 from gcba.corpus import square_point, theta_point, torus_point
 
 PI = math.pi
@@ -203,7 +204,6 @@ def test_links_of_complete_complexes_are_complete(theta, torus, theta_s1):
 
 
 def test_locate_realize_roundtrip(theta_s1):
-    from gcba import geodesics as geo
     sp = square_point(theta_s1, 0, 0.0, 0.4)
     L = links.link_at(theta_s1, sp)
     p = ("arc", 1, 0.7)
@@ -218,13 +218,13 @@ def test_locate_realize_roundtrip(theta_s1):
 
 def test_link_cache_is_bounded():
     comp = corpus.flat_torus()
-    n = links._LINK_CACHE_SIZE + 10
+    n = geo._LINK_CACHE_SIZE + 10
     pts = [torus_point(comp, 0.05 + 0.9 * i / n, 0.3) for i in range(n)]
     first = links.link_at(comp, pts[0])
     for x in pts[1:]:
         links.link_at(comp, x)
     recent = links.link_at(comp, pts[-1])
-    assert len(comp._link_cache) <= links._LINK_CACHE_SIZE
+    assert len(geo.engine(comp)._link_cache) <= geo._LINK_CACHE_SIZE
     assert links.link_at(comp, pts[-1]) is recent
     assert links.link_at(comp, pts[0]) is not first
 

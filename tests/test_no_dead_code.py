@@ -67,3 +67,43 @@ def unused_definitions(root: Path = ROOT) -> list[str]:
 
 def test_every_definition_is_named_somewhere():
     assert unused_definitions() == []
+
+
+# The complex builders take the Settings a complex carries; every other
+# function reads the settings of the complex it works on.  In corpus.py each
+# top-level function is a builder.
+BUILDERS = {"complexes.py:MetricComplex.__init__", "complexes.py:build_complex",
+            "complexes.py:load_complex", "complexes.py:complex_from_json_dict"}
+
+
+def _functions(node, prefix=""):
+    """(qualified name, node) of every function and method below node."""
+    for child in ast.iter_child_nodes(node):
+        if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                              ast.ClassDef)):
+            if not isinstance(child, ast.ClassDef):
+                yield prefix + child.name, child
+            yield from _functions(child, f"{prefix}{child.name}.")
+        else:
+            yield from _functions(child, prefix)
+
+
+def settings_parameters(root: Path = ROOT) -> list[str]:
+    """Functions and methods of `src/gcba`, other than the complex builders,
+    with a parameter named `settings`."""
+    out = []
+    for path in sorted((root / "src" / "gcba").glob("*.py")):
+        tree = ast.parse(path.read_text(), filename=str(path))
+        for qualname, fn in _functions(tree):
+            a = fn.args
+            params = {p.arg for p in a.posonlyargs + a.args + a.kwonlyargs}
+            name = f"{path.name}:{qualname}"
+            builder = name in BUILDERS or (path.name == "corpus.py"
+                                           and "." not in qualname)
+            if "settings" in params and not builder:
+                out.append(name)
+    return out
+
+
+def test_only_builders_take_settings():
+    assert settings_parameters() == []
