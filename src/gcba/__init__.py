@@ -11,7 +11,6 @@ from .complexes import (
     Gluing,
     InputError,
     MetricComplex,
-    TinyBallSpec,
     build_complex,
     dimension_of_star,
     load_complex,
@@ -30,7 +29,6 @@ __all__ = [
     "Gluing",
     "InputError",
     "MetricComplex",
-    "TinyBallSpec",
     "build_complex",
     "dimension_of_star",
     "load_complex",

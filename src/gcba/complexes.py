@@ -175,7 +175,8 @@ class Gluing:
 
 
 class MetricComplex:
-    """Validated piecewise-Euclidean Delta-complex (kappa <= 0).
+    """Validated piecewise-Euclidean Delta-complex: every cell is a flat
+    (Euclidean) simplex.
 
     The complex carries the one `Settings` that every computation on it
     reads.  The cells, gluings and faces do not change after construction;
@@ -184,11 +185,10 @@ class MetricComplex:
     and queries mutate them, so concurrent use is not safe.
     """
 
-    def __init__(self, cells: list[Cell], gluings: list[Gluing], kappa: float,
+    def __init__(self, cells: list[Cell], gluings: list[Gluing],
                  settings: Settings = DEFAULTS):
         self.cells = cells
         self.gluings = gluings
-        self.kappa = kappa
         self.settings = settings
         self._geodesic_engine = None
         self._validate_cells()
@@ -376,7 +376,7 @@ class MetricComplex:
              "perm": [g.b[1].index(v) for v in g.corr]}
             for g in self.gluings
         ]
-        return {"kappa": _f17(self.kappa), "simplices": simplices,
+        return {"kappa": 0.0, "simplices": simplices,
                 "gluings": gluings}
 
     def save(self, path: str):
@@ -417,9 +417,11 @@ def build_complex(specs: list[tuple[int, np.ndarray]],
 
     Square specs (dim 2 with four slots) are split into two triangles along
     the v0-v2 diagonal; gluings written against square faces are remapped.
-    A cell of dimension >= 3 raises InputError: the geometry is exact for
-    dimension <= 2 only.
+    A cell of dimension >= 3 or a curvature `kappa` other than 0 raises
+    InputError: cells are flat simplices, exact for dimension <= 2 only.
     """
+    if kappa != 0.0:
+        raise InputError(f"kappa = {kappa} not supported: cells are flat")
     cells: list[Cell] = []
     # input cell -> input face tuple -> (internal cell, internal tuple,
     #                                    {input vertex -> internal slot})
@@ -485,7 +487,7 @@ def build_complex(specs: list[tuple[int, np.ndarray]],
         # the split diagonal (v0,v2): slots (0,2) of t0 and (0,1) of t1
         out_gluings.append(Gluing(a=(base, (0, 2)), b=(base + 1, (0, 1)),
                                   corr=(0, 1)))
-    return MetricComplex(cells, out_gluings, kappa, settings)
+    return MetricComplex(cells, out_gluings, settings)
 
 
 def load_complex(path: str, settings: Settings = DEFAULTS) -> MetricComplex:
@@ -503,8 +505,6 @@ def complex_from_json_dict(data: dict, settings: Settings = DEFAULTS) -> MetricC
         if key not in data:
             raise InputError(f"missing key {key!r}")
     kappa = float(data["kappa"])
-    if kappa > 0:
-        raise InputError("kappa > 0 not supported")
     specs = []
     face_tables = []
     for i, s in enumerate(data["simplices"]):
@@ -532,10 +532,7 @@ def complex_from_json_dict(data: dict, settings: Settings = DEFAULTS) -> MetricC
             raise InputError(f"gluing {g}: perm is not a permutation")
         corr = tuple(tup_b[p] for p in perm)
         gluings.append(((ca, tup_a), (cb, tup_b), corr))
-    try:
-        return build_complex(specs, gluings, kappa, settings)
-    except ComplexError:
-        raise
+    return build_complex(specs, gluings, kappa, settings)
 
 
 # ---------------------------------------------------------------------------
@@ -646,27 +643,3 @@ def star(comp: MetricComplex, x: ComplexPoint) -> set[int]:
 
 def dimension_of_star(comp: MetricComplex, x: ComplexPoint) -> int:
     return max(comp.cells[c].dim for c in star(comp, x))
-
-
-# ---------------------------------------------------------------------------
-# tiny balls
-
-
-@dataclass(frozen=True)
-class TinyBallSpec:
-    """A ball small relative to the curvature scale, with measured capacity."""
-
-    center: ComplexPoint
-    radius: float
-    capacity: int   # greedy estimate of the doubling constant N
-
-    @staticmethod
-    def create(comp: MetricComplex, center: ComplexPoint, radius: float,
-               capacity: int) -> "TinyBallSpec":
-        if radius > min(1.0, _r_kappa(comp.kappa) / 100.0):
-            raise ComplexError("tiny-ball radius exceeds min(1, R_kappa/100)")
-        return TinyBallSpec(center, radius, capacity)
-
-
-def _r_kappa(kappa: float) -> float:
-    return math.inf if kappa <= 0 else math.pi / math.sqrt(kappa)

@@ -1,24 +1,31 @@
 """Distances, geodesics, angles and the logarithmic/contraction maps.
 
-The engine for complexes of dimension <= 2 is exact: corridors of cells are
-unfolded isometrically into the plane (radius-pruned breadth-first search
-over developments, deduplicated by placement), straight candidates are
-validated by walking the ray through the complex, and paths that bend at
-vertices are assembled by a Dijkstra layer threaded over the vertex classes.
-Complexes have dimension <= 2 (load rejects higher ones), so every distance
-takes this route and is exact to about 1e-9.
+The engine for complexes of dimension <= 2 is exact.  Corridors of flat
+cells are unfolded isometrically into the plane (the development step of
+Mitchell-Mount-Papadimitriou and Chen-Han).  One gate table per complex
+holds, for every edge of a 2-cell, the isometry that places each glued
+neighbour across it; a source tree composes these level by level in a
+radius-pruned breadth-first search, deduplicated by placement, and keeps
+its developments as arrays.  Straight candidates are validated by walking
+the ray through the complex with the same table, and paths that bend at
+vertices are assembled by a Dijkstra layer threaded over the vertex
+classes.  Complexes have dimension <= 2 and flat cells (load rejects
+anything else), so every distance takes this route and is exact to about
+1e-9.
 """
 
 from __future__ import annotations
 
 import heapq
+import itertools
 import math
-from collections import OrderedDict
+from collections import ChainMap, OrderedDict
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
-from .complexes import ComplexPoint, MetricComplex
+from .complexes import ComplexError, ComplexPoint, MetricComplex
 
 
 class GeodesicError(Exception):
@@ -196,111 +203,125 @@ _CAND_CELLS_CACHE_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
-# planar development tree (dim <= 2)
+# gate table and planar development tree (dim <= 2)
 
 
-@dataclass
-class _Dev:
-    cid: int
-    A: np.ndarray        # 2x2 orthogonal
-    t: np.ndarray        # translation: dev = A @ local + t
-    root_cid: int        # cell of the root development this one grew from
-    root_xy: np.ndarray  # source position in the root cell's local coords
-    bary: np.ndarray | None = None  # source barycentrics, root devs only
+class GateTable(NamedTuple):
+    """Where each 2-cell edge leads.  Edge `drop` of cell c is the edge
+    opposite its vertex slot `drop`; entries span[c, drop, 0] up to
+    span[c, drop, 1] are the other 2-cell slots glued to it, and entry g
+    places cell cid[g] (at its face slot slot[g]) beside c across that edge
+    by x_c = R[g] @ x_cid[g] + s[g], on the far side from c's vertex drop."""
+    span: np.ndarray     # (cells, 3, 2) entry range per (cell, edge)
+    cid: np.ndarray      # (G,)
+    slot: list           # (cid, face tuple) per entry
+    R: np.ndarray        # (G, 2, 2) orthogonal
+    s: np.ndarray        # (G, 2)
+    coords: np.ndarray   # (cells, 3, 2) vertex coordinates of the 2-cells
+
+
+def _gate_table(comp: MetricComplex) -> GateTable:
+    span = np.zeros((len(comp.cells), 3, 2), dtype=np.intp)
+    coords = np.zeros((len(comp.cells), 3, 2))
+    slots, Rs, ss = [], [], []
+    for cell in comp.cells:
+        if cell.dim != 2:
+            continue
+        coords[cell.cid] = cell.coords
+        for drop in range(3):
+            tup = tuple(v for v in range(3) if v != drop)
+            e0, e1 = cell.coords[tup[0]], cell.coords[tup[1]]
+            side = _side(e0, e1, cell.coords[drop])
+            my_corr = comp.face_corr(cell.cid, tup)
+            span[cell.cid, drop, 0] = len(slots)
+            for (mcid, mtup) in sorted(comp.face_class_members(
+                    comp.face_root(cell.cid, tup))):
+                if (mcid, mtup) == (cell.cid, tup) or \
+                        comp.cells[mcid].dim != 2:
+                    continue
+                # the vertex of mtup matching tup[p] meets the same root
+                # vertex as it does
+                mcorr = comp.face_corr(mcid, mtup)
+                pair = [mtup[mcorr.index(my_corr[p])] for p in range(2)]
+                R, s = _place_cell(comp.cells[mcid], pair, e0, e1, -side)
+                slots.append((mcid, mtup))
+                Rs.append(R)
+                ss.append(s)
+            span[cell.cid, drop, 1] = len(slots)
+    return GateTable(span, np.array([m for m, _ in slots], dtype=np.intp),
+                     slots, np.array(Rs).reshape(-1, 2, 2),
+                     np.array(ss).reshape(-1, 2), coords)
 
 
 class _SourceTree:
     """Placements of 2-cells reachable from a source point by unfolding,
-    pruned at a radius; the source sits at the origin of the dev plane."""
+    pruned at a radius; the source sits at the origin of the dev plane.
+
+    Development k places cell cid[k] by dev = A[k] @ local + t[k] and grew
+    from the root development roots[root[k]], the source in one of its
+    cells, held as (cid, xy, bary, index of its development).  `cells` maps
+    each cell, in order of first development, to the slice of its
+    developments, which keep breadth-first order."""
 
     def __init__(self, engine: "GeodesicEngine", x: ComplexPoint, radius: float):
-        self.engine = engine
         self.comp = engine.comp
-        self.x = x
         self.radius = radius
-        self.devs: list[_Dev] = []
-        self.by_cell: dict[int, list[int]] = {}
-        # per-cell development arrays and the direct pieces to each vertex,
-        # filled by queries
-        self._arrays: dict = {}
-        self._to_vertex: dict = {}
-        self._build()
+        # direct distances to the engine's vertices, filled by a query
+        self.to_vertex = None
+        self._build(engine.gates, x)
 
-    def _build(self):
+    def _build(self, gates: GateTable, x: ComplexPoint):
         comp = self.comp
-        seen = set()
-        queue: list[int] = []
-        head = 0
-        for cid, bary in self.x.representations(comp):
-            if comp.cells[cid].dim != 2:
-                continue
-            xy = np.asarray(bary) @ comp.cells[cid].coords
-            dev = _Dev(cid=cid, A=np.eye(2), t=-xy, root_cid=cid, root_xy=xy,
-                       bary=np.asarray(bary))
-            self._push(dev, seen, queue)
-        cap = self.comp.settings.max_developments
-        while head < len(queue):
-            if len(self.devs) > cap:
+        roots = [(cid, np.asarray(bary) @ comp.cells[cid].coords,
+                  np.asarray(bary))
+                 for cid, bary in x.representations(comp)
+                 if comp.cells[cid].dim == 2]
+        cid = np.array([r[0] for r in roots], dtype=np.intp)
+        A = np.eye(2)[None].repeat(len(roots), axis=0)
+        t = -np.array([r[1] for r in roots]).reshape(-1, 2)
+        seen: set = set()
+        keep = _unseen(seen, cid, A, t)
+        roots = [roots[k] for k in keep]
+        level = (cid[keep], A[keep], t[keep], np.arange(len(keep)))
+        levels = [level]
+        total = len(keep)
+        cap = comp.settings.max_developments
+        while len(level[0]):
+            # one breadth-first level: every gate of a parent that comes
+            # within the radius places a child at (A @ R, A @ s + t)
+            pc, pA, pt, pr = level
+            corners = gates.coords[pc] @ pA.transpose(0, 2, 1) + pt[:, None]
+            near = _seg_dist_origin(corners[:, _EDGE[:, 0]],
+                                    corners[:, _EDGE[:, 1]]) <= self.radius
+            par, drop = np.nonzero(near)
+            if not len(par):
+                break
+            lo, hi = gates.span[pc[par], drop].T
+            n = hi - lo
+            par = np.repeat(par, n)
+            g = np.repeat(lo - np.cumsum(n) + n, n) + np.arange(n.sum())
+            cA = pA[par] @ gates.R[g]
+            ct = np.einsum("nij,nj->ni", pA[par], gates.s[g]) + pt[par]
+            keep = _unseen(seen, gates.cid[g], cA, ct)
+            level = (gates.cid[g][keep], cA[keep], ct[keep], pr[par][keep])
+            levels.append(level)
+            total += len(keep)
+            if total > cap:
                 # a tree cut short can miss the shortest path
                 raise GeodesicError(
-                    f"source tree truncated: {len(self.devs)} developments "
+                    f"source tree truncated: {total} developments "
                     f"passed the cap max_developments={cap}")
-            idx = queue[head]
-            head += 1
-            dev = self.devs[idx]
-            cell = comp.cells[dev.cid]
-            n = cell.nverts
-            corners = cell.coords @ dev.A.T + dev.t
-            for drop in range(n):
-                tup = tuple(v for v in range(n) if v != drop)
-                e0, e1 = corners[tup[0]], corners[tup[1]]
-                if _seg_dist_origin(e0, e1) > self.radius:
-                    continue
-                inside = corners[drop]
-                side = _side(e0, e1, inside)
-                root = comp.face_root(dev.cid, tup)
-                members = comp.face_class_members(root)
-                if len(members) < 2:
-                    continue
-                my_corr = comp.face_corr(dev.cid, tup)
-                for (mcid, mtup) in members:
-                    if (mcid, mtup) == (dev.cid, tup):
-                        continue
-                    if comp.cells[mcid].dim != 2:
-                        continue
-                    mcorr = comp.face_corr(mcid, mtup)
-                    root_to_m = {mcorr[p]: mtup[p] for p in range(len(mtup))}
-                    pair = [root_to_m[my_corr[p]] for p in range(len(tup))]
-                    iso = _place_cell(comp.cells[mcid], pair, e0, e1, -side)
-                    if iso is None:
-                        continue
-                    A2, t2 = iso
-                    ndev = _Dev(cid=mcid, A=A2, t=t2,
-                                root_cid=dev.root_cid, root_xy=dev.root_xy)
-                    self._push(ndev, seen, queue)
-
-    def _push(self, dev: _Dev, seen: set, queue: list):
-        key = (dev.cid,
-               tuple(np.round(dev.A.ravel(), 9)),
-               tuple(np.round(dev.t, 9)))
-        if key in seen:
-            return
-        seen.add(key)
-        self.devs.append(dev)
-        queue.append(len(self.devs) - 1)
-        self.by_cell.setdefault(dev.cid, []).append(len(self.devs) - 1)
-
-    def _cell_arrays(self, cid: int):
-        hit = self._arrays.get(cid)
-        if hit is None:
-            idxs = self.by_cell.get(cid, [])
-            A = np.stack([self.devs[i].A for i in idxs]) if idxs else \
-                np.zeros((0, 2, 2))
-            t = np.stack([self.devs[i].t for i in idxs]) if idxs else \
-                np.zeros((0, 2))
-            hit = (idxs, A, t)
-            self._arrays[cid] = hit
-        return hit
+        cid, A, t, root = (np.concatenate(col) for col in zip(*levels))
+        group: dict = {}
+        for k, c in enumerate(cid.tolist()):
+            group.setdefault(c, []).append(k)
+        order = [k for ks in group.values() for k in ks]
+        self.cid, self.A, self.t, self.root = (
+            cid[order], A[order], t[order], root[order])
+        stop = itertools.accumulate(len(ks) for ks in group.values())
+        self.cells = {c: slice(b - len(ks), b)
+                      for (c, ks), b in zip(group.items(), stop)}
+        self.roots = [r + (order.index(k),) for k, r in enumerate(roots)]
 
     def candidates(self, y: ComplexPoint):
         """Straight candidates (length, root_cid, root_xy, direction, chord)
@@ -312,20 +333,19 @@ class _SourceTree:
         lns_all = []
         recs = []
         for cid, bary in y.representations(comp):
-            if comp.cells[cid].dim != 2:
+            sl = self.cells.get(cid)
+            if sl is None:
                 continue
             xy = np.asarray(bary) @ comp.cells[cid].coords
-            idxs, A, t = self._cell_arrays(cid)
-            if not idxs:
-                continue
-            ps = A @ xy + t
+            ps = self.A[sl] @ xy + self.t[sl]
             lns = np.hypot(ps[:, 0], ps[:, 1])
             ok = (lns <= self.radius + 1e-12) & (lns > 1e-15)
             for pos in np.nonzero(ok)[0]:
-                dev = self.devs[idxs[pos]]
+                k = sl.start + pos
+                rcid, rxy, rbary, rk = self.roots[self.root[k]]
                 lns_all.append(lns[pos])
-                chord = None if dev.bary is None else (cid, dev.bary, bary)
-                recs.append((dev.root_cid, dev.root_xy, ps[pos], chord))
+                chord = (cid, rbary, bary) if k == rk else None
+                recs.append((rcid, rxy, ps[pos], chord))
         if not recs:
             return
         order = np.argsort(np.asarray(lns_all), kind="stable")
@@ -341,13 +361,33 @@ class _SourceTree:
             yield (float(ln), rcid, rxy, p / ln, chord)
 
 
-def _seg_dist_origin(e0, e1) -> float:
+# a development's key: its cell, A and t as the bytes of 7 float64
+_KEY = np.dtype((np.void, 56))
+
+
+def _unseen(seen: set, cid, A, t) -> np.ndarray:
+    """Indices of the placements whose (cell, A, t) rounded to 1e-9 is not
+    in `seen`, first occurrences only; adds their keys to `seen`."""
+    keys = np.concatenate([cid[:, None], A.reshape(-1, 4), t], axis=1)
+    keys = keys.round(9) + 0.0     # one key for -0.0 and 0.0
+    keep = []
+    for k, key in enumerate(keys.view(_KEY).ravel().tolist()):
+        if key not in seen:
+            seen.add(key)
+            keep.append(k)
+    return np.array(keep, dtype=np.intp)
+
+
+# the two vertex slots of the edge opposite slot 0, 1 and 2 of a triangle
+_EDGE = np.array([(1, 2), (0, 2), (0, 1)])
+
+
+def _seg_dist_origin(e0, e1) -> np.ndarray:
+    """Distance from the origin to each segment e0[k] e1[k] (nondegenerate)."""
     d = e1 - e0
-    L2 = float(d @ d)
-    if L2 == 0.0:
-        return float(np.hypot(*e0))
-    t = min(max(-(e0 @ d) / L2, 0.0), 1.0)
-    return float(np.hypot(*(e0 + t * d)))
+    f = np.clip(-np.sum(e0 * d, axis=-1) / np.sum(d * d, axis=-1), 0.0, 1.0)
+    q = e0 + f[..., None] * d
+    return np.hypot(q[..., 0], q[..., 1])
 
 
 def _side(e0, e1, p) -> float:
@@ -370,7 +410,8 @@ def _place_cell(cell, pair, e0, e1, want_side):
     nl = np.linalg.norm(v_local)
     nd = np.linalg.norm(v_dev)
     if nl < 1e-15 or abs(nl - nd) > 1e-7 * max(1.0, nd):
-        return None
+        raise ComplexError(f"cell {cell.cid} cannot be placed across a glued "
+                           f"edge: lengths {nl!r} and {nd!r}")
     ul, ud = v_local / nl, v_dev / nd
     c = ul[0] * ud[0] + ul[1] * ud[1]
     s = ul[0] * ud[1] - ul[1] * ud[0]
@@ -384,7 +425,8 @@ def _place_cell(cell, pair, e0, e1, want_side):
         sd = _side(e0, e1, w)
         if want_side == 0.0 or sd == want_side or sd == 0.0:
             return A, t
-    return None
+    raise ComplexError(f"cell {cell.cid} cannot be placed across a glued "
+                       "edge on its far side")
 
 
 # ---------------------------------------------------------------------------
@@ -405,11 +447,15 @@ class _RayOutcome:
 
 class GeodesicEngine:
     """Per-complex geodesic machinery; `engine(comp)` returns the one engine
-    of a complex, which owns every cache kept for that complex:
+    of a complex.  It builds the complex's gate table (`gates`) once: the
+    only place that decides where a neighbour lands across a glued edge, for
+    source trees, ray walks and `strainers`.  It owns every cache kept for
+    that complex:
 
-    * source trees: a point's tree is reused while queries fit inside its
-      radius and rebuilt with a larger radius when one does not; trees at
-      vertices are kept for the engine's lifetime, others sit in an LRU;
+    * source trees, each a few arrays (`_SourceTree`): a point's tree is
+      reused while queries fit inside its radius and rebuilt with a larger
+      radius when one does not; trees at vertices are kept for the engine's
+      lifetime, others sit in an LRU;
     * edge positions of points, the vertex table and the chord graph;
     * links (`links.link_at`) and candidate cells (`candidate_cells`).
 
@@ -432,6 +478,7 @@ class GeodesicEngine:
         self._cand_cells = _LRU(_CAND_CELLS_CACHE_SIZE)
         self._chord = None
         self._vid_cache: dict = {}
+        self.gates = _gate_table(comp)
         self._scale = max(
             float(np.max(c.lengths)) if c.dim > 0 else 1.0 for c in comp.cells)
 
@@ -476,9 +523,8 @@ class GeodesicEngine:
                 results.append(out)
         return results
 
-    def _ray_step(self, cid, q, w, rem, segs, fork=None, counts=None,
-                  choose=None):
-        comp = self.comp
+    def _ray_step(self, cid, q, w, rem, segs, fork=None, counts=None):
+        comp, gates = self.comp, self.gates
         while True:
             cell = comp.cells[cid]
             b = self.bary_from_xy(cid, q)
@@ -505,36 +551,16 @@ class GeodesicEngine:
             if len(near_zero) != 1:
                 return _RayOutcome("corner", segs + [(cid, b, b_hit)],
                                    cid=cid, xy=q_hit, vec=w, counts=counts)
-            tup = tuple(v for v in range(cell.nverts) if v != near_zero[0])
-            root = comp.face_root(cid, tup)
-            members = [m for m in comp.face_class_members(root)
-                       if m != (cid, tup) and comp.cells[m[0]].dim == 2]
-            if not members:
-                return _RayOutcome("boundary", segs + [(cid, b, b_hit)],
-                                   cid=cid, xy=q_hit, vec=w, counts=counts)
             segs = segs + [(cid, b, b_hit)]
-            my_corr = comp.face_corr(cid, tup)
-            e0, e1 = cell.coords[tup[0]], cell.coords[tup[1]]
-            side = _side(e0, e1, cell.coords[zero[0]])
-            branches = []
-            for (mcid, mtup) in sorted(members):
-                mcorr = comp.face_corr(mcid, mtup)
-                root_to_m = {mcorr[p]: mtup[p] for p in range(len(mtup))}
-                pair = [root_to_m[my_corr[p]] for p in range(len(tup))]
-                iso = _place_cell(comp.cells[mcid], pair, e0, e1, -side)
-                if iso is None:
-                    continue
-                A2, t2 = iso
-                q2 = A2.T @ (q_hit - t2)
-                w2 = A2.T @ w
-                branches.append((mcid, q2, w2))
-            if not branches:
+            lo, hi = gates.span[cid, near_zero[0]]
+            if lo == hi:
                 return _RayOutcome("boundary", segs, cid=cid, xy=q_hit,
                                    vec=w, counts=counts)
+            # the ray enters each neighbour across the gate in its own frame
+            branches = [(int(gates.cid[g]), gates.R[g].T @ (q_hit - gates.s[g]),
+                         gates.R[g].T @ w) for g in range(lo, hi)]
             if counts is not None:
                 counts = counts + [len(branches)]
-            if choose is not None and len(branches) > 1:
-                branches = [branches[choose(branches)]]
             first = branches[0]
             if fork is not None:
                 for br in branches[1:]:
@@ -546,9 +572,7 @@ class GeodesicEngine:
         """Deterministic single walk (first branch in (cid, tup) order),
         recording the branch count at each junction."""
         return self._ray_step(cid, np.asarray(xy, float),
-                              np.asarray(vec, float), length, [],
-                              fork=None, counts=[],
-                              choose=lambda branches: 0)
+                              np.asarray(vec, float), length, [], counts=[])
 
     # -- edge (1-dimensional) candidates ----------------------------------------
 
@@ -681,8 +705,8 @@ class GeodesicEngine:
         base_adj, vid = self._chord_graph()
         n = len(self.vertex_points())
         SRC, DST = n, n + 1
-        adj = {k: list(v) for k, v in base_adj.items()}
-        adj[SRC], adj[DST] = [], []
+        # the two virtual nodes and their edges sit in an overlay
+        adj = ChainMap({SRC: [], DST: []}, base_adj)
         for node, p in ((SRC, x), (DST, y)):
             for cid, bary in p.representations(comp):
                 cell = comp.cells[cid]
@@ -780,7 +804,7 @@ class GeodesicEngine:
         if tx is not None:
             res = self._assemble(tx, x, y, need_path)
             if res is not None and res[0] <= tx.radius + 1e-12:
-                return self._orient(res, swap, x)
+                return self._orient(res, swap)
         # a chord through a shared cell sizes the tree without the chord
         # graph search; the tree still certifies the distance
         ub = self._shared_cell_chord(x, y)
@@ -794,9 +818,9 @@ class GeodesicEngine:
         res = self._assemble(tx, x, y, need_path)
         if res is None:
             raise Disconnected("no path between the given points")
-        return self._orient(res, swap, x)
+        return self._orient(res, swap)
 
-    def _orient(self, res, swap: bool, x: ComplexPoint):
+    def _orient(self, res, swap: bool):
         total, path = res
         if path is not None and swap:
             path = path.reversed()
@@ -809,13 +833,11 @@ class GeodesicEngine:
         within the available trees."""
         d0, segs0 = self._direct(tx, x, y)
         verts = self.vertex_points()
-        for i, v in enumerate(verts):
-            if i not in tx._to_vertex:
-                tx._to_vertex[i] = self._direct(tx, x, v)
+        if tx.to_vertex is None:
+            tx.to_vertex = tuple(self._direct(tx, x, v)[0] for v in verts)
         # a path bending at a vertex is at least as long as the closest
         # vertex, so a shorter validated direct segment is already optimal
-        if d0 < math.inf and all(dv >= d0 - 1e-12
-                                 for dv, _ in tx._to_vertex.values()):
+        if d0 < math.inf and all(dv >= d0 - 1e-12 for dv in tx.to_vertex):
             if not need_path:
                 return d0, None
             return d0, self._finalize_path(segs0, x)
@@ -825,10 +847,9 @@ class GeodesicEngine:
         adj: dict[int, list] = {i: [] for i in range(n + 2)}
         meta = {}
         for i, v in enumerate(verts):
-            d, segs = tx._to_vertex[i]
+            d = tx.to_vertex[i]
             if d < math.inf:
                 adj[SRC].append((i, d))
-                meta[(SRC, i)] = segs
             tvi = self._cached_tree(v.key())
             if tvi is not None:
                 dy, sy = self._direct(tvi, v, y)
@@ -856,7 +877,11 @@ class GeodesicEngine:
         hops.reverse()
         segs = []
         for hop in hops:
-            segs.extend(meta[hop])
+            if hop[0] == SRC and hop[1] != DST:
+                # the source-to-vertex piece is walked again, not kept
+                segs.extend(self._direct(tx, x, verts[hop[1]])[1])
+            else:
+                segs.extend(meta[hop])
         return total, self._finalize_path(segs, x)
 
     def _finalize_path(self, segs, x: ComplexPoint) -> GeodesicPath:
@@ -880,6 +905,8 @@ class GeodesicEngine:
 
 
 def _dijkstra(adj, src, with_prev=False):
+    """Shortest-path lengths from src over the adjacency lists `adj`, and
+    with `with_prev` the predecessor of each reached node."""
     dist = {src: 0.0}
     prev = {}
     pq = [(0.0, src)]

@@ -21,7 +21,6 @@ rings are solved exactly and the delta-spherical checks below are exhaustive.
 
 from __future__ import annotations
 
-import heapq
 import math
 from dataclasses import dataclass
 from typing import NamedTuple
@@ -29,7 +28,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import ComplexPoint, MetricComplex
-from .geodesics import Direction, engine
+from .geodesics import Direction, _dijkstra, engine
 
 PI = math.pi
 # slopes of the four lines whose min is t -> raw_dist(x, ("arc", a, t)): from
@@ -399,22 +398,6 @@ class LinkSpace:
         return ("ray", a.cid, a.xy.copy(), vec)
 
 
-def _dijkstra(adj: dict[int, list], src: int) -> dict[int, float]:
-    """Shortest-path lengths from src over the adjacency lists `adj`."""
-    dist = {src: 0.0}
-    pq = [(0.0, src)]
-    while pq:
-        d, u = heapq.heappop(pq)
-        if d > dist.get(u, math.inf):
-            continue
-        for (v, w) in adj.get(u, ()):
-            nd = d + w
-            if nd < dist.get(v, math.inf) - 1e-15:
-                dist[v] = nd
-                heapq.heappush(pq, (nd, v))
-    return dist
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -462,30 +445,9 @@ def _exact_link(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
 def _edge_interior_link(comp: MetricComplex, x: ComplexPoint,
                         root: tuple) -> LinkSpace:
     """Two poles joined by one arc of length pi per incident 2-cell slot."""
-    members = sorted(comp.face_class_members(root))
     reps = dict(x.representations(comp))
-    nodes = []
     arcs = []
-    # poles realized in the smallest incident slot, oriented by root tuple
-    pole_state = {}
-    for sgn in (+1, -1):
-        state = None
-        for (mcid, mtup) in members:
-            mcorr = comp.face_corr(mcid, mtup)
-            if comp.cells[mcid].dim != 2 or mcid not in reps:
-                continue
-            co = comp.cells[mcid].coords
-            root_to_m = {mcorr[p]: mtup[p] for p in range(2)}
-            v0, v1 = root_to_m[root[1][0]], root_to_m[root[1][1]]
-            u = co[v1] - co[v0]
-            u = u / np.linalg.norm(u)
-            xy = np.asarray(reps[mcid]) @ co
-            state = ("ray", mcid, xy, sgn * u)
-            break
-        pole_state[sgn] = state
-    nodes.append(_Node(label=("pole", +1), state=pole_state[+1]))
-    nodes.append(_Node(label=("pole", -1), state=pole_state[-1]))
-    for (mcid, mtup) in members:
+    for (mcid, mtup) in sorted(comp.face_class_members(root)):
         if comp.cells[mcid].dim != 2:
             continue
         mcorr = comp.face_corr(mcid, mtup)
@@ -500,6 +462,12 @@ def _edge_interior_link(comp: MetricComplex, x: ComplexPoint,
         wp = w - np.dot(w, u) * u
         wp = wp / np.linalg.norm(wp)
         arcs.append(_Arc(0, 1, PI, cid=mcid, xy=xy, b1=u, bp=wp))
+    # the poles are the +-u rays of the first arc: the smallest incident
+    # slot, oriented by the root tuple
+    nodes = [_Node(label=("pole", sgn),
+                   state=("ray", arcs[0].cid, arcs[0].xy.copy(),
+                          sgn * arcs[0].b1) if arcs else None)
+             for sgn in (+1, -1)]
     return LinkSpace(comp, x, nodes, arcs)
 
 

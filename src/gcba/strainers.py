@@ -274,27 +274,14 @@ def _into_frame(comp: MetricComplex, x: ComplexPoint, v: geo.Direction):
         return v.array()
     cell = comp.cells[x.cid]
     if len(x.carrier) != cell.nverts and len(x.carrier) == cell.dim:
-        # x interior of a codim-1 face shared by both cells: develop v.cid
-        # across it into x.cid's plane
-        root = comp.face_root(x.cid, x.carrier)
-        members = dict(comp.face_class_members(root))
-        tup_here = x.carrier
-        my_corr = comp.face_corr(x.cid, tup_here)
-        co = cell.coords
-        e0, e1 = co[tup_here[0]], co[tup_here[1]]
-        inside = co[next(s for s in range(cell.nverts) if s not in tup_here)]
-        side = geo._side(e0, e1, inside)
-        for (mcid, mtup) in comp.face_class_members(root):
-            if mcid != v.cid or (mcid, mtup) == (x.cid, tup_here):
-                continue
-            mcorr = comp.face_corr(mcid, mtup)
-            root_to_m = {mcorr[p]: mtup[p] for p in range(len(mtup))}
-            pair = [root_to_m[my_corr[p]] for p in range(len(tup_here))]
-            iso = geo._place_cell(comp.cells[mcid], pair, e0, e1, -side)
-            if iso is None:
-                continue
-            A, _ = iso
-            return A @ v.array()
+        # x interior of a codim-1 face shared by both cells: the gate across
+        # it places v.cid in x.cid's plane
+        gates = geo.engine(comp).gates
+        drop = next(s for s in range(cell.nverts) if s not in x.carrier)
+        lo, hi = gates.span[x.cid, drop]
+        for g in range(lo, hi):
+            if gates.cid[g] == v.cid:
+                return gates.R[g] @ v.array()
     raise StrainerError("direction not expressible in the carrier frame")
 
 

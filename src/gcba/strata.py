@@ -214,14 +214,10 @@ def ball_mass_2d(comp: MetricComplex, x: ComplexPoint, r: float,
     eng = geo.engine(comp)
     tree = eng.tree(x, r * (1 + 1e-9) + 1e-12)
     disks = []   # (cid, center_local, area, poly)
-    for cid, idxs in tree.by_cell.items():
-        cell = comp.cells[cid]
-        if cell.dim != 2:
-            continue
-        poly = cell.coords
-        for i in idxs:
-            dev = tree.devs[i]
-            center = dev.A.T @ (-dev.t)
+    for cid, sl in tree.cells.items():
+        poly = comp.cells[cid].coords
+        for A, t in zip(tree.A[sl], tree.t[sl]):
+            center = A.T @ (-t)
             area = _disk_poly_area(center, r, poly)
             if area > 1e-18:
                 disks.append((cid, center, area, poly))
@@ -426,9 +422,10 @@ def _net_counts(comp: MetricComplex, scales, pool: int,
         tree = eng.tree(center, radius * 1.05)
         if comp.dim == 2:
             for cid, idx in by_cell.items():
-                _, A, t = tree._cell_arrays(cid)
-                if A.shape[0] == 0:
+                sl = tree.cells.get(cid)
+                if sl is None:
                     continue
+                A, t = tree.A[sl], tree.t[sl]
                 ps = np.einsum("nij,mj->nmi", A, xys[idx]) + t[:, None, :]
                 lns = np.min(np.hypot(ps[..., 0], ps[..., 1]), axis=0)
                 out[idx] = np.minimum(out[idx], lns)

@@ -33,6 +33,11 @@ def test_validate_exit_codes(tmp_path):
     tet.write_text(json.dumps(TETRAHEDRON))
     assert cli.main(["validate", str(tet),
                      "--json", str(tmp_path / "e.json")]) == 3
+    curved = tmp_path / "curved_torus.json"
+    with open(path("flat_torus")) as fh:
+        curved.write_text(json.dumps(dict(json.load(fh), kappa=-1)))
+    assert cli.main(["validate", str(curved),
+                     "--json", str(tmp_path / "g.json")]) == 3
     # a settings file with a key Settings does not have
     old = tmp_path / "old.json"
     old.write_text(json.dumps({"geodesic_eta": 0.001}))

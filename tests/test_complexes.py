@@ -138,8 +138,15 @@ def test_parse_errors(tmp_path):
         complex_from_json_dict(TETRAHEDRON)
 
 
-def test_tiny_ball_radius_guard(torus):
-    center = corpus.torus_point(torus, 0.5, 0.5)
-    complexes.TinyBallSpec.create(torus, center, 0.1, capacity=16)
-    with pytest.raises(ComplexError):
-        complexes.TinyBallSpec.create(torus, center, 1.5, capacity=16)
+def test_nonzero_kappa_rejected(torus):
+    # cells are flat simplices: a complex declared curved is refused, not
+    # silently analysed as a flat one
+    data = torus.to_json_dict()
+    assert data["kappa"] == 0.0
+    for kappa in (-1.0, 0.5):
+        with pytest.raises(InputError, match="kappa"):
+            complex_from_json_dict(dict(data, kappa=kappa))
+    spec = (2, 1 - np.eye(3))
+    with pytest.raises(InputError, match="kappa"):
+        complexes.build_complex([spec], [], -1.0)
+    assert complexes.build_complex([spec], [], 0.0).dim == 2
