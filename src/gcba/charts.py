@@ -202,14 +202,17 @@ def alpha_special(chart: Chart, n_checks: int = 40,
             ws = st.directions_to(comp, y, s.opposites)
         except st.StrainerError:
             continue
-        for cand in L.samples(comp.settings.angular_resolution * 6):
+        cands = L.samples(comp.settings.angular_resolution * 6)
+        # row per candidate: its angles to the vs, then to the ws
+        M = L.dist_matrix(cands, vs + ws).tolist()
+        for row in M:
             if checked >= n_checks:
                 break
             # first variation: D f_i(v) = -cos d(v, direction to p_i)
-            dfi = [-math.cos(L.dist(cand, v)) for v in vs]
+            dfi = [-math.cos(d) for d in row[:len(vs)]]
             if any(df < 0.0 for df in dfi):
                 continue
-            dg = float(np.mean([-math.cos(L.dist(cand, w)) for w in ws]))
+            dg = float(np.mean([-math.cos(d) for d in row[len(vs):]]))
             worst = max(worst, dg)
             checked += 1
     passed = checked > 0 and worst <= -alpha + 1e-6

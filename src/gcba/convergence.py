@@ -261,11 +261,9 @@ def linf_embed(comp: MetricComplex, center: ComplexPoint, r0: float,
     L = lk.link_at(comp, center)
     sphere = []
     for p in L.samples(delta * r0 / (2 * r0) / 2):
-        state = L.realize(p)
-        if state is None:
-            continue
         try:
-            path, _ = geo.shoot_from_state(comp, center, state, 2 * r0)
+            path, _ = geo.shoot_from_state(comp, center, L.realize(p, center),
+                                           2 * r0)
         except geo.GeodesicError:
             continue
         d, _ = eng.distance(center, path.end, need_path=False)
@@ -334,17 +332,20 @@ def cone_ball_net(L: lk.LinkSpace, eps: float):
         for p in L.samples(max(eps / max(t, eps), 0.05)):
             cand.append((float(t), p))
 
-    def cdist(a, b):
-        (ti, vi), (tj, vj) = a, b
+    vs = [p for _, p in cand[1:]]
+    ang = L.dist_matrix(vs, vs).tolist()    # row i - 1: candidate i tested
+
+    def cdist(i, j):
+        (ti, vi), (tj, vj) = cand[i], cand[j]
         if vi is None or vj is None:
             return abs(ti - tj)
-        ang = L.dist(vi, vj)
-        return math.sqrt(max(0.0, ti * ti + tj * tj
-                             - 2 * ti * tj * math.cos(ang)))
-    net = [cand[0]]
-    for c in cand[1:]:
+        return math.sqrt(max(0.0, ti * ti + tj * tj - 2 * ti * tj
+                             * math.cos(ang[i - 1][j - 1])))
+    net = [0]
+    for c in range(1, len(cand)):
         if all(cdist(c, z) > eps for z in net):
             net.append(c)
+    net = [cand[i] for i in net]
     return net, cone_space(L, net, None)
 
 
@@ -371,11 +372,9 @@ def tangent_convergence(comp: MetricComplex, x: ComplexPoint, radii,
                 mapped.append(x)
                 keep.append(i)
                 continue
-            state = L.realize(v)
-            if state is None:
-                continue
             try:
-                path, _ = geo.shoot_from_state(comp, x, state, t * r)
+                path, _ = geo.shoot_from_state(comp, x, L.realize(v, x),
+                                               t * r)
             except geo.GeodesicError:
                 continue
             mapped.append(path.end)

@@ -303,11 +303,8 @@ def sphere_vs_link_check(comp: MetricComplex, x: ComplexPoint, radii,
         net = []
         tags = []
         for p in L.samples(spacing / r):
-            state = L.realize(p)
-            if state is None:
-                continue
             try:
-                path, _ = geo.shoot_from_state(comp, x, state, r)
+                path, _ = geo.shoot_from_state(comp, x, L.realize(p, x), r)
             except geo.GeodesicError:
                 continue
             d, _ = eng.distance(x, path.end, need_path=False)

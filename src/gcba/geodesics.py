@@ -195,10 +195,9 @@ class _LRU(OrderedDict):
 
 
 # bounds of the per-engine caches of source trees (vertex trees excluded),
-# edge positions, links and candidate cells
+# edge positions and candidate cells
 _TREE_CACHE_SIZE = 512
 _EDGE_POS_CACHE_SIZE = 1024
-_LINK_CACHE_SIZE = 128
 _CAND_CELLS_CACHE_SIZE = 256
 
 
@@ -457,7 +456,9 @@ class GeodesicEngine:
       radius when one does not; trees at vertices are kept for the engine's
       lifetime, others sit in an LRU;
     * edge positions of points, the vertex table and the chord graph;
-    * links (`links.link_at`) and candidate cells (`candidate_cells`).
+    * links (`links.link_at`), one per open face, so the complex bounds
+      their number; each keeps its spherical-tuple searches;
+    * candidate cells (`candidate_cells`).
 
     The LRU caches have fixed sizes.  Queries mutate the caches, so
     concurrent use is not safe.  Settings are read from the complex.
@@ -474,7 +475,7 @@ class GeodesicEngine:
         self._vv = None
         self._vv_radius = -1.0
         self._edge_pos_cache = _LRU(_EDGE_POS_CACHE_SIZE)
-        self._link_cache = _LRU(_LINK_CACHE_SIZE)
+        self._link_cache: dict = {}
         self._cand_cells = _LRU(_CAND_CELLS_CACHE_SIZE)
         self._chord = None
         self._vid_cache: dict = {}
@@ -976,7 +977,7 @@ def direction_angle(comp: MetricComplex, x: ComplexPoint,
         return math.acos(min(1.0, max(-1.0, cosang)))
     from . import links
     L = links.link_at(comp, x)
-    return links.link_distance(L, L.locate(d1), L.locate(d2))
+    return L.dist(L.locate(d1), L.locate(d2))
 
 
 def log_map(comp: MetricComplex, x: ComplexPoint, y: ComplexPoint):
@@ -1078,8 +1079,7 @@ def _continue_past(comp, hit, back: Direction, counts):
     back_pt = L.locate(back)
     conts = links.antipodes(L, back_pt,
                             comp.settings.angle_tolerance * 10 + 1e-9)
-    states = [links.realize(L, p) for p in conts]
-    states = [s for s in states if s is not None]
+    states = [L.realize(p, hit) for p in conts]
     if not states:
         raise NoContinuation(f"no continuation at {hit!r} within tolerance")
     states.sort(key=_state_order)
@@ -1181,7 +1181,7 @@ def log_almost_isometry_check(comp: MetricComplex, x: ComplexPoint,
             if v1 is None or v2 is None:
                 dc = abs(t1 - t2)
             else:
-                a = links.link_distance(L, L.locate(v1), L.locate(v2))
+                a = L.dist(L.locate(v1), L.locate(v2))
                 dc = math.sqrt(max(
                     0.0, t1 * t1 + t2 * t2 - 2 * t1 * t2 * math.cos(a)))
             if abs(d12 - dc) > eps * r + 1e-9:
@@ -1266,9 +1266,7 @@ def _exp_ball_samples(comp, x, r, n, rng):
         ai = int(rng.choice(len(L.arcs), p=probs))
         theta = float(rng.random()) * L.arcs[ai].length
         t = r * math.sqrt(float(rng.random()))
-        state = L.realize(("arc", ai, theta))
-        if state is None:
-            return None
+        state = L.realize(("arc", ai, theta), x)
         try:
             path, _ = shoot_from_state(comp, x, state, t)
         except (GeodesicError, lk.LinkError):

@@ -7,6 +7,16 @@ a full circle, an edge-interior point two poles joined by one length-pi arc
 per incident cell).  All distances are clamped at pi, the diameter of any
 nontrivial space of directions.
 
+A link belongs to an open face, not to a point: every point of an open cell
+sigma has the same space of directions, the spherical join
+S^(dim sigma - 1) * Lk(sigma) (Bridson-Haefliger I.7).  `link_at` builds one
+`LinkSpace` per open face and keeps it on the geodesic engine, and the
+spherical-tuple search is kept on the link.  A link holds no point's
+coordinates: each node and arc records a cell slot of the face (an index into
+`ComplexPoint.representations`) and a direction in that cell, and
+`LinkSpace.realize(p, x)` turns a link point into a walker state at the point
+x of the face from x's barycentric coordinates in that slot.
+
 Point sets are held in one array form, `_Form`: per point its arc (negative
 for a node) and its distances t, tj along it to the arc's ends i, j.  The
 metric has one implementation, `LinkSpace.dist_matrix`: a point's row of
@@ -42,8 +52,9 @@ class LinkError(Exception):
 
 @dataclass
 class _Node:
-    label: tuple                 # deterministic ordering key
-    state: tuple | None          # walker state realizing this direction
+    label: tuple         # deterministic ordering key
+    slot: int            # cell slot of the face holding this direction
+    vec: np.ndarray | float  # unit vector in a 2-cell, or sign along a 1-cell
 
 
 @dataclass
@@ -51,10 +62,9 @@ class _Arc:
     i: int
     j: int
     length: float
-    cid: int | None = None       # realization: 2-cell of the corner
-    xy: np.ndarray | None = None  # base point coords inside that cell
-    b1: np.ndarray | None = None  # direction at t = 0
-    bp: np.ndarray | None = None  # unit perpendicular toward the arc
+    slot: int            # cell slot of the face at the 2-cell corner
+    b1: np.ndarray       # direction at t = 0
+    bp: np.ndarray       # unit perpendicular toward the arc
 
 
 class _Form(NamedTuple):
@@ -77,20 +87,22 @@ def _point(F: _Form, k: int) -> tuple:
 
 
 class LinkSpace:
-    """The space of directions at a point, with angular metric (<= pi).
+    """The space of directions at every point of an open face, with angular
+    metric (<= pi).
 
     Points of the link are ("node", i) or ("arc", a, t) with t in
-    [0, arc length].
+    [0, arc length].  A slot of a node or arc indexes the face's cell slots
+    in `ComplexPoint.representations` order.  `_tuples` keeps the results of
+    `find_spherical_tuple` by (k, delta).
     """
 
-    kind = "graph"     # exact metric graph
-
-    def __init__(self, comp: MetricComplex, base: ComplexPoint,
+    def __init__(self, comp: MetricComplex, face: tuple,
                  nodes: list[_Node], arcs: list[_Arc]):
         self.comp = comp
-        self.base = base
+        self.face = face
         self.nodes = nodes
         self.arcs = arcs
+        self._tuples: dict = {}
         self._ends = np.array([(a.i, a.j) for a in arcs],
                               dtype=np.intp).reshape(-1, 2)
         self._len = np.array([a.length for a in arcs], dtype=float)
@@ -337,22 +349,26 @@ class LinkSpace:
 
     # -- locating and realizing directions ---------------------------------------
 
+    def _slot(self, x: ComplexPoint, slot: int):
+        """(cid, barycentric coordinates) of x, a point of this link's face,
+        in the face's cell slot `slot`."""
+        if (x.cid, x.carrier) != self.face:
+            raise LinkError(f"{x!r} does not lie on this link's open face")
+        return x.representations(self.comp)[slot]
+
     def locate(self, d) -> tuple:
-        """Link point of a Direction based at this link's base point."""
+        """Link point of a Direction based at a point of this link's face."""
         if not isinstance(d, Direction):
             return d
         comp = self.comp
         cell = comp.cells[d.cid]
         if cell.dim == 1:
             sgn = 1.0 if d.vec[0] >= 0 else -1.0
-            anchor = np.asarray(d.anchor) if d.anchor else None
             for i, nd in enumerate(self.nodes):
-                if nd.state and nd.state[0] == "edge" and nd.state[1] == d.cid:
-                    if nd.state[3] == sgn:
-                        if anchor is None or abs(
-                                nd.state[2] - float(anchor[1]) *
-                                cell.lengths[0, 1]) < 1e-6:
-                            return ("node", i)
+                cid, b = self._slot(d.base, nd.slot)
+                if cid == d.cid and nd.vec == sgn and (not d.anchor or abs(
+                        b[1] - d.anchor[1]) * cell.lengths[0, 1] < 1e-6):
+                    return ("node", i)
             raise LinkError("1-cell direction not represented in this link")
         anchor_xy = (d.anchor_xy(comp) if d.anchor
                      else dict(d.base.representations(comp))[d.cid]
@@ -360,9 +376,9 @@ class LinkSpace:
         vec = d.array()
         best = None
         for ai, a in enumerate(self.arcs):
-            if a.cid != d.cid or a.xy is None:
-                continue
-            if np.linalg.norm(a.xy - anchor_xy) > 1e-7:
+            cid, b = self._slot(d.base, a.slot)
+            if cid != d.cid or np.linalg.norm(
+                    b @ cell.coords - anchor_xy) > 1e-7:
                 continue
             c = float(np.dot(vec, a.b1))
             s = float(np.dot(vec, a.bp))
@@ -385,17 +401,21 @@ class LinkSpace:
             return p
         raise LinkError("direction could not be located in the link")
 
-    def realize(self, p) -> tuple | None:
-        """Walker state for a link point: ("edge", cid, t, sgn) or
-        ("ray", cid, xy, vec)."""
+    def realize(self, p, x: ComplexPoint) -> tuple:
+        """Walker state at x, a point of this link's face, for the link point
+        p: ("edge", cid, t, sgn) along a 1-cell or ("ray", cid, xy, vec)."""
         if p[0] == "node":
-            return self.nodes[p[1]].state
-        a = self.arcs[p[1]]
-        t = p[2]
-        if a.cid is None:
-            return None
-        vec = math.cos(t) * a.b1 + math.sin(t) * a.bp
-        return ("ray", a.cid, a.xy.copy(), vec)
+            nd = self.nodes[p[1]]
+            slot, vec = nd.slot, nd.vec
+        else:
+            a = self.arcs[p[1]]
+            slot = a.slot
+            vec = math.cos(p[2]) * a.b1 + math.sin(p[2]) * a.bp
+        cid, b = self._slot(x, slot)
+        cell = self.comp.cells[cid]
+        if cell.dim == 1:
+            return ("edge", cid, float(b[1]) * float(cell.lengths[0, 1]), vec)
+        return ("ray", cid, b @ cell.coords, vec)
 
 
 # ---------------------------------------------------------------------------
@@ -403,51 +423,44 @@ class LinkSpace:
 
 
 def link_at(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
-    """The space of directions at x, an exact metric graph, kept in the
-    geodesic engine's bounded link cache."""
+    """The space of directions at x: the link of x's open face.  Points are
+    stored in root form, so (x.cid, x.carrier) names that face; the geodesic
+    engine keeps one link per open face."""
+    face = (x.cid, x.carrier)
     cache = engine(comp)._link_cache
-    hit = cache.get(x.key())
-    if hit is None:
-        hit = cache[x.key()] = _exact_link(comp, x)
-    return hit
+    L = cache.get(face)
+    if L is None:
+        L = cache[face] = _face_link(comp, face)
+    return L
 
 
-def _exact_link(comp: MetricComplex, x: ComplexPoint) -> LinkSpace:
-    cell = comp.cells[x.cid]
-    carrier_dim = len(x.carrier) - 1
-    if len(x.carrier) == cell.nverts and cell.dim == 2:
+def _face_link(comp: MetricComplex, face: tuple) -> LinkSpace:
+    """The link of the open face (cid, carrier), given in root form."""
+    cid, carrier = face
+    cell = comp.cells[cid]
+    nodes, arcs = [], []
+    if len(carrier) < cell.nverts:
+        root = comp.face_root(cid, carrier)
+        build = _edge_interior_link if len(carrier) == 2 else _vertex_link
+        nodes, arcs = build(comp, root)
+    elif cell.dim == 2:
         # interior of a 2-cell: circle of length 2*pi
-        xy = x.xy(comp)
         b1 = np.array([1.0, 0.0])
         bp = np.array([0.0, 1.0])
-        nodes = [_Node(label=("circle", x.cid), state=("ray", x.cid, xy, b1))]
-        arcs = [_Arc(0, 0, 2 * PI, cid=x.cid, xy=xy, b1=b1, bp=bp)]
-        return LinkSpace(comp, x, nodes, arcs)
-    if len(x.carrier) == cell.nverts and cell.dim == 1:
+        nodes = [_Node(label=("circle", cid), slot=0, vec=b1)]
+        arcs = [_Arc(0, 0, 2 * PI, 0, b1, bp)]
+    elif cell.dim == 1:
         # interior of a maximal 1-cell: two poles
-        L = float(cell.lengths[0, 1])
-        t = float(x.bary[1]) * L
-        nodes = [
-            _Node(label=("pole", x.cid, +1),
-                  state=("edge", x.cid, t, +1.0)),
-            _Node(label=("pole", x.cid, -1),
-                  state=("edge", x.cid, t, -1.0)),
-        ]
-        return LinkSpace(comp, x, nodes, [])
-    if len(x.carrier) == cell.nverts and cell.dim == 0:
-        return LinkSpace(comp, x, [], [])
-    root = comp.face_root(x.cid, x.carrier)
-    if carrier_dim == 1:
-        return _edge_interior_link(comp, x, root)
-    return _vertex_link(comp, x, root)
+        nodes = [_Node(label=("pole", cid, sgn), slot=0, vec=float(sgn))
+                 for sgn in (+1, -1)]
+    return LinkSpace(comp, face, nodes, arcs)
 
 
-def _edge_interior_link(comp: MetricComplex, x: ComplexPoint,
-                        root: tuple) -> LinkSpace:
+def _edge_interior_link(comp: MetricComplex, root: tuple):
     """Two poles joined by one arc of length pi per incident 2-cell slot."""
-    reps = dict(x.representations(comp))
+    members = comp.face_class_members(root)
     arcs = []
-    for (mcid, mtup) in sorted(comp.face_class_members(root)):
+    for (mcid, mtup) in sorted(members):
         if comp.cells[mcid].dim != 2:
             continue
         mcorr = comp.face_corr(mcid, mtup)
@@ -455,46 +468,43 @@ def _edge_interior_link(comp: MetricComplex, x: ComplexPoint,
         root_to_m = {mcorr[p]: mtup[p] for p in range(2)}
         v0, v1 = root_to_m[root[1][0]], root_to_m[root[1][1]]
         opp = next(v for v in range(3) if v not in mtup)
-        xy = np.asarray(reps[mcid]) @ co
         u = co[v1] - co[v0]
         u = u / np.linalg.norm(u)
-        w = co[opp] - xy
+        w = co[opp] - co[v0]
         wp = w - np.dot(w, u) * u
         wp = wp / np.linalg.norm(wp)
-        arcs.append(_Arc(0, 1, PI, cid=mcid, xy=xy, b1=u, bp=wp))
+        arcs.append(_Arc(0, 1, PI, members.index((mcid, mtup)), u, wp))
     # the poles are the +-u rays of the first arc: the smallest incident
     # slot, oriented by the root tuple
-    nodes = [_Node(label=("pole", sgn),
-                   state=("ray", arcs[0].cid, arcs[0].xy.copy(),
-                          sgn * arcs[0].b1) if arcs else None)
-             for sgn in (+1, -1)]
-    return LinkSpace(comp, x, nodes, arcs)
+    nodes = [_Node(label=("pole", sgn), slot=arcs[0].slot,
+                   vec=sgn * arcs[0].b1) for sgn in (+1, -1)]
+    return nodes, arcs
 
 
-def _vertex_link(comp: MetricComplex, x: ComplexPoint, root: tuple) -> LinkSpace:
+def _vertex_link(comp: MetricComplex, root: tuple):
     """Nodes: directions along incident 1-faces and 1-cells; arcs: 2-cell
     corner angles between their side directions."""
+    members = comp.face_class_members(root)
     node_index: dict[tuple, int] = {}
     nodes: list[_Node] = []
     arcs: list[_Arc] = []
-    reps = x.representations(comp)
 
-    def node_for(edge_key, end: int, state) -> int:
+    def node_for(edge_key, end: int, slot: int, vec) -> int:
         key = (edge_key, end)
         if key not in node_index:
             node_index[key] = len(nodes)
-            nodes.append(_Node(label=key, state=state))
+            nodes.append(_Node(label=key, slot=slot, vec=vec))
         return node_index[key]
 
     # incident 1-faces via 2-cell corners, and the corner arcs
-    for (mcid, mtup) in sorted(comp.face_class_members(root)):
+    for (mcid, mtup) in sorted(members):
         cell = comp.cells[mcid]
         if cell.dim != 2:
             continue
+        slot = members.index((mcid, mtup))
         v = mtup[0]
         others = [w for w in range(cell.nverts) if w != v]
         co = cell.coords
-        xy = co[v]
         side_nodes = []
         side_vecs = []
         for w in others:
@@ -505,41 +515,25 @@ def _vertex_link(comp: MetricComplex, x: ComplexPoint, root: tuple) -> LinkSpace
             end = eroot[1].index(ecorr[pos])
             u = co[w] - co[v]
             u = u / np.linalg.norm(u)
-            state = ("ray", mcid, xy.copy(), u)
-            side_nodes.append(node_for(("face", eroot), end, state))
+            side_nodes.append(node_for(("face", eroot), end, slot, u))
             side_vecs.append(u)
         theta = comp.corner_angle(mcid, v, others[0], others[1])
         b1 = side_vecs[0]
         w2 = side_vecs[1] - np.dot(side_vecs[1], b1) * b1
         bp = w2 / np.linalg.norm(w2)
-        arcs.append(_Arc(side_nodes[0], side_nodes[1], theta,
-                         cid=mcid, xy=xy, b1=b1, bp=bp))
-    # incident maximal 1-cells
-    for cell in comp.cells:
-        if cell.dim != 1:
-            continue
-        L = float(cell.lengths[0, 1])
-        for (cid, bary) in reps:
-            if cid != cell.cid:
-                continue
-            if bary[0] > 0.5:   # at endpoint 0
-                state = ("edge", cell.cid, 0.0, +1.0)
-                node_for(("cell", cell.cid), 0, state)
-            else:
-                state = ("edge", cell.cid, L, -1.0)
-                node_for(("cell", cell.cid), 1, state)
+        arcs.append(_Arc(side_nodes[0], side_nodes[1], theta, slot, b1, bp))
+    # incident maximal 1-cells, leaving their end 0 forward and end 1 back
+    for slot in sorted(range(len(members)), key=lambda m: members[m][0]):
+        mcid, (end,) = members[slot]
+        if comp.cells[mcid].dim == 1:
+            node_for(("cell", mcid), end, slot, (1.0, -1.0)[end])
     # isolated 1-faces of 2-cells with no corner at x cannot occur: every
     # 1-face containing x meets x at a corner of each incident 2-cell.
-    return LinkSpace(comp, x, nodes, arcs)
+    return nodes, arcs
 
 
 # ---------------------------------------------------------------------------
 # operations
-
-
-def link_distance(L: LinkSpace, u, v) -> float:
-    """Angular distance, clamped to [0, pi]."""
-    return L.dist(L.locate(u), L.locate(v))
 
 
 def antipodes(L: LinkSpace, v, tol: float):
@@ -549,10 +543,6 @@ def antipodes(L: LinkSpace, v, tol: float):
         raise LinkError("empty link")
     regions = L.antipode_regions(L.locate(v), tol)
     return [r["rep"] for r in regions]
-
-
-def realize(L: LinkSpace, p):
-    return L.realize(p)
 
 
 def is_delta_spherical(L: LinkSpace, v, vbar, delta: float,
@@ -597,7 +587,15 @@ def find_spherical_tuple(L: LinkSpace, k: int, delta: float):
     Candidates come from a coarse link sample plus exact ring points at
     distance ~pi/2 around accepted members, so successes are certified by
     the exact sup check while the scan stays cheap.  Returns
-    {"v": [...], "vbar": [...]} or None."""
+    {"v": (...), "vbar": (...)} or None.  The result depends on L alone, so
+    it is kept on L and served to every point of L's open face."""
+    key = (k, delta)
+    if key not in L._tuples:
+        L._tuples[key] = _search_tuple(L, k, delta)
+    return L._tuples[key]
+
+
+def _search_tuple(L: LinkSpace, k: int, delta: float):
     margin = L.comp.settings.strict_margin
     pts = L.samples(max(L.comp.settings.angular_resolution, PI / 60))
     if not pts:
@@ -643,8 +641,8 @@ def find_spherical_tuple(L: LinkSpace, k: int, delta: float):
         return False
 
     if extend(pts):
-        return {"v": [c[0] for c in chosen],
-                "vbar": [c[1] for c in chosen]}
+        return {"v": tuple(c[0] for c in chosen),
+                "vbar": tuple(c[1] for c in chosen)}
     return None
 
 

@@ -99,16 +99,14 @@ def check_opposite_tuples(L: lk.LinkSpace, vs, ws, delta: float,
         if s >= PI + delta - margin:
             ok = False
     k = len(vs)
-    for i in range(k):
-        for j in range(k):
-            if i == j:
-                continue
-            checks = [L.dist(vs[i], vs[j]), L.dist(vs[i], ws[j]),
-                      L.dist(ws[i], ws[j])]
-            for d in checks:
-                worst = max(worst, d - (PI / 2 + delta))
-                if d >= PI / 2 + delta - margin:
-                    ok = False
+    if k > 1:
+        # rows vs_i then ws_i: entries (vs_i, vs_j), (vs_i, ws_j), (ws_i, ws_j)
+        P = list(vs) + list(ws)
+        M = L.dist_matrix(P, P)
+        off = ~np.eye(k, dtype=bool)
+        d = np.concatenate([M[:k, :k][off], M[:k, k:][off], M[k:, k:][off]])
+        worst = max(worst, float(np.max(d - (PI / 2 + delta))))
+        ok = ok and not np.any(d >= PI / 2 + delta - margin)
     return ok, worst
 
 
@@ -150,10 +148,7 @@ def is_strained(comp: MetricComplex, x: ComplexPoint, k: int, delta: float,
 
 
 def _realize_point(comp, x, L, linkpoint, r) -> ComplexPoint:
-    state = L.realize(linkpoint)
-    if state is None:
-        raise StrainerError("link point carries no realization")
-    path, _ = geo.shoot_from_state(comp, x, state, r)
+    path, _ = geo.shoot_from_state(comp, x, L.realize(linkpoint, x), r)
     return path.end
 
 
@@ -579,19 +574,17 @@ def extension_exceptional_set(comp: MetricComplex, F: StrainerMap, region,
         # candidates: a net on the link resolves every geometrically
         # distinct extra direction (mirrors the delta*r0-net on the
         # distance sphere plus fiber mates)
-        for cand in L.samples(comp.settings.angular_resolution * 8):
-            tup = vs + [cand]
-            okpair = True
-            for i in range(len(tup)):
-                for j in range(i + 1, len(tup)):
-                    d = L.dist(tup[i], tup[j])
-                    if not (PI / 2 - 2 * 12 * delta < d < PI / 2 + 12 * delta):
-                        okpair = False
-                        break
-                if not okpair:
-                    break
+        cands = L.samples(comp.settings.angular_resolution * 8)
+        # every pair (tup[i], tup[j]), i < j, of tup = vs + [cand] lies in
+        # row vs[i] of M, so one matrix gives each candidate's pair window
+        M = L.dist_matrix(vs, vs + cands)
+        win = (PI / 2 - 2 * 12 * delta < M) & (M < PI / 2 + 12 * delta)
+        fits = (win[:, len(vs):].all(axis=0)
+                & win[:, :len(vs)][np.triu_indices(len(vs), 1)].all())
+        for cand, okpair in zip(cands, fits.tolist()):
             if not okpair:
                 continue
+            tup = vs + [cand]
             vbar, s = lk._best_opposite(L, cand)
             if vbar is None or \
                     s >= PI + 12 * delta - comp.settings.strict_margin:

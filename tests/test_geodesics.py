@@ -327,7 +327,7 @@ def test_log_is_2_lipschitz(theta_s1, rng):
             continue
         t1, v1 = geo.log_map(theta_s1, x, y1)
         t2, v2 = geo.log_map(theta_s1, x, y2)
-        a = links.link_distance(L, L.locate(v1), L.locate(v2))
+        a = L.dist(L.locate(v1), L.locate(v2))
         dcone = math.sqrt(max(0.0, t1 * t1 + t2 * t2
                               - 2 * t1 * t2 * math.cos(a)))
         dy, _ = eng.distance(y1, y2, need_path=False)

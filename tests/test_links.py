@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings as hsettings, strategies as st
 
-from gcba import complexes, corpus, links
+from gcba import complexes, corpus, links, strainers
 from gcba import geodesics as geo
 from gcba.corpus import square_point, theta_point, torus_point
 
@@ -32,7 +32,6 @@ def cone_complex(angles):
 def test_theta_vertex_link(theta):
     a = theta_point(theta, 0, 0.0)
     L = links.link_at(theta, a)
-    assert L.kind == "graph"
     assert len(L.nodes) == 3 and len(L.arcs) == 0
     for i in range(3):
         for j in range(i + 1, 3):
@@ -207,7 +206,7 @@ def test_locate_realize_roundtrip(theta_s1):
     sp = square_point(theta_s1, 0, 0.0, 0.4)
     L = links.link_at(theta_s1, sp)
     p = ("arc", 1, 0.7)
-    state = links.realize(L, p)
+    state = L.realize(p, sp)
     assert state[0] == "ray"
     d = geo.Direction(base=sp, cid=state[1],
                       vec=tuple(state[3]),
@@ -216,17 +215,48 @@ def test_locate_realize_roundtrip(theta_s1):
     assert L.dist(L.locate(d), p) < 1e-9
 
 
-def test_link_cache_is_bounded():
+def test_one_link_per_open_face():
+    # every point of an open face has the same link (BH I.7), so 138 points
+    # of a few faces share a few links
     comp = corpus.flat_torus()
-    n = geo._LINK_CACHE_SIZE + 10
+    n = 138
     pts = [torus_point(comp, 0.05 + 0.9 * i / n, 0.3) for i in range(n)]
-    first = links.link_at(comp, pts[0])
-    for x in pts[1:]:
-        links.link_at(comp, x)
-    recent = links.link_at(comp, pts[-1])
-    assert len(geo.engine(comp)._link_cache) <= geo._LINK_CACHE_SIZE
-    assert links.link_at(comp, pts[-1]) is recent
-    assert links.link_at(comp, pts[0]) is not first
+    cache = geo.engine(comp)._link_cache
+    by_face = {}
+    for x in pts:
+        L = links.link_at(comp, x)
+        assert by_face.setdefault((x.cid, x.carrier), L) is L
+        assert len(cache) == len(by_face)
+    assert len(by_face) <= len(comp.face_classes())
+    assert (pts[0].cid, pts[0].carrier) == (pts[1].cid, pts[1].carrier)
+    assert links.link_at(comp, pts[1]) is links.link_at(comp, pts[0])
+
+
+def test_second_point_of_a_face_reuses_the_search(monkeypatch):
+    ts = corpus.theta_times_circle()
+    x1, x2 = square_point(ts, 0, 0.0, 0.4), square_point(ts, 0, 0.0, 0.7)
+    assert (x1.cid, x1.carrier) == (x2.cid, x2.carrier)   # one spine edge
+    assert strainers.is_strained(ts, x1, 1, 0.05, reach=0.15) is not None
+
+    def no_search(*args):
+        raise AssertionError("the stored search was not reused")
+
+    monkeypatch.setattr(links, "_search_tuple", no_search)
+    s = strainers.is_strained(ts, x2, 1, 0.05, reach=0.15)
+    monkeypatch.undo()
+    # realized at x2 itself, not at the point that ran the search
+    eng = geo.engine(ts)
+    for p in s.points + s.opposites:
+        d, _ = eng.distance(x2, p, need_path=False)
+        assert d == pytest.approx(0.15, abs=1e-9)
+    fresh = corpus.theta_times_circle()
+    y = square_point(fresh, 0, 0.0, 0.7)
+    s_fresh = strainers.is_strained(fresh, y, 1, 0.05, reach=0.15)
+    assert s.k == s_fresh.k == 1
+    assert (links.find_spherical_tuple(links.link_at(ts, x2), 1, 0.05) ==
+            links.find_spherical_tuple(links.link_at(fresh, y), 1, 0.05))
+    assert ([p.key() for p in s.points + s.opposites] ==
+            [p.key() for p in s_fresh.points + s_fresh.opposites])
 
 
 # -- the array metric against closed forms --------------------------------
