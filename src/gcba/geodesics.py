@@ -7,11 +7,18 @@ holds, for every edge of a 2-cell, the isometry that places each glued
 neighbour across it; a source tree composes these level by level in a
 radius-pruned breadth-first search, deduplicated by placement, and keeps
 its developments as arrays.  Straight candidates are validated by walking
-the ray through the complex with the same table, and paths that bend at
-vertices are assembled by a Dijkstra layer threaded over the vertex
-classes.  Complexes have dimension <= 2 and flat cells (load rejects
-anything else), so every distance takes this route and is exact to about
-1e-9.
+the ray through the complex with the same table.
+
+A shortest path bends only at singular vertices.  A vertex is flat when its
+link is one circle of length 2*pi; it then has a Euclidean disc as a
+neighbourhood, so a shortest path through it is straight there: its two
+directions are at link distance pi (Bridson-Haefliger I.5).  A ray walk goes
+on through a flat vertex along that one antipode, as `shoot` does, and paths
+that bend are assembled by a Dijkstra layer threaded over the singular
+vertices only (boundary vertices, vertices on a 1-cell, pinches and cone
+points of angle other than 2*pi).  Complexes have dimension <= 2 and flat
+cells (load rejects anything else), so every distance takes this route and
+is exact to about 1e-9.
 """
 
 from __future__ import annotations
@@ -265,7 +272,8 @@ class _SourceTree:
     def __init__(self, engine: "GeodesicEngine", x: ComplexPoint, radius: float):
         self.comp = engine.comp
         self.radius = radius
-        # direct distances to the engine's vertices, filled by a query
+        # direct distances to the engine's singular vertices, filled by a
+        # query
         self.to_vertex = None
         self._build(engine.gates, x)
 
@@ -436,7 +444,9 @@ class _RayOutcome:
     __slots__ = ("status", "segs", "cid", "xy", "vec", "counts")
 
     def __init__(self, status, segs, cid=None, xy=None, vec=None, counts=None):
-        self.status = status      # "inside" | "corner" | "boundary" | "stuck"
+        # "inside" | "corner" (a singular vertex, or a vertex the ray
+        # starts at) | "boundary" | "stuck"
+        self.status = status
         self.segs = segs
         self.cid = cid
         self.xy = xy
@@ -453,9 +463,15 @@ class GeodesicEngine:
 
     * source trees, each a few arrays (`_SourceTree`): a point's tree is
       reused while queries fit inside its radius and rebuilt with a larger
-      radius when one does not; trees at vertices are kept for the engine's
-      lifetime, others sit in an LRU;
-    * edge positions of points, the vertex table and the chord graph;
+      radius when one does not; trees at singular vertices are kept for the
+      engine's lifetime, others sit in an LRU;
+    * the singular vertices (`singular_points`), decided once from the
+      vertex links: a shortest path bends only there (a flat vertex has a
+      Euclidean disc as neighbourhood, BH I.5), so the vertex distances of a
+      tree, the vertex table and the Dijkstra layer of `_assemble` cover
+      them alone, and ray walks go straight on through flat vertices;
+    * edge positions of points, the vertex table and the chord graph (the
+      chord graph keeps every vertex: there a vertex is only a bound);
     * links (`links.link_at`), one per open face, so the complex bounds
       their number; each keeps its spherical-tuple searches;
     * candidate cells (`candidate_cells`).
@@ -468,10 +484,14 @@ class GeodesicEngine:
         self.comp = comp
         self._bary = {}
         self._trees = _LRU(_TREE_CACHE_SIZE)
-        # `_assemble` reaches the target from every vertex through these
+        # `_assemble` reaches the target from every singular vertex
+        # through these
         self._vertex_trees: dict = {}
         self._vertex_points = None
-        self._vertex_keys = None
+        self._singular = None
+        self._singular_keys = None
+        # (cell, vertex slot) of the corners at flat vertices
+        self._flat_corners = None
         self._vv = None
         self._vv_radius = -1.0
         self._edge_pos_cache = _LRU(_EDGE_POS_CACHE_SIZE)
@@ -513,7 +533,8 @@ class GeodesicEngine:
     def ray_walk_all(self, cid: int, xy, vec, length: float,
                      fork_limit: int = 64):
         """All straight continuations of the ray (forking at faces incident to
-        three or more 2-cells).  Used to validate distance candidates."""
+        three or more 2-cells, going straight on through flat vertices).
+        Used to validate distance candidates."""
         results = []
         stack = [(cid, np.asarray(xy, float), np.asarray(vec, float),
                   length, [])]
@@ -549,10 +570,22 @@ class GeodesicEngine:
             if len(zero) == 0:
                 return _RayOutcome("stuck", segs, cid=cid, xy=q_hit, vec=w,
                                    counts=counts)
-            if len(near_zero) != 1:
-                return _RayOutcome("corner", segs + [(cid, b, b_hit)],
-                                   cid=cid, xy=q_hit, vec=w, counts=counts)
             segs = segs + [(cid, b, b_hit)]
+            if len(near_zero) != 1:
+                if t_exit <= 0.0 or not self._flat_corner(cid, near_zero):
+                    return _RayOutcome("corner", segs, cid=cid, xy=q_hit,
+                                       vec=w, counts=counts)
+                # straight on through a flat vertex: the one antipode of the
+                # incoming direction, as `shoot` continues there
+                hit = ComplexPoint(comp, cid, b_hit)
+                back = Direction(base=hit, cid=cid, vec=tuple(-w),
+                                 anchor=tuple(b_hit))
+                step: list = []
+                _, cid, q, w = _continue_past(comp, hit, back, step)
+                if counts is not None:
+                    counts = counts + step
+                rem -= t_exit
+                continue
             lo, hi = gates.span[cid, near_zero[0]]
             if lo == hi:
                 return _RayOutcome("boundary", segs, cid=cid, xy=q_hit,
@@ -568,6 +601,14 @@ class GeodesicEngine:
                     fork.append((br[0], br[1], br[2], rem - t_exit, segs))
             cid, q, w = first
             rem -= t_exit
+
+    def _flat_corner(self, cid: int, near_zero: list) -> bool:
+        """Whether the ray's exit point, where the coordinates near_zero of
+        triangle cid vanish, is a corner at a flat vertex."""
+        if self._flat_corners is None:
+            self.singular_points()
+        return len(near_zero) == 2 and \
+            (cid, 3 - sum(near_zero)) in self._flat_corners
 
     def ray_walk_single(self, cid, xy, vec, length: float):
         """Deterministic single walk (first branch in (cid, tup) order),
@@ -646,8 +687,8 @@ class GeodesicEngine:
         if hit is not None and hit.radius >= radius - 1e-12:
             return hit
         t = _SourceTree(self, x, radius)
-        self.vertex_points()   # fills _vertex_keys
-        if key in self._vertex_keys:
+        self.singular_points()   # fills _singular_keys
+        if key in self._singular_keys:
             self._vertex_trees[key] = t
         else:
             self._trees[key] = t
@@ -665,8 +706,21 @@ class GeodesicEngine:
                     seen.add(vp.key())
                     pts.append(vp)
             self._vertex_points = pts
-            self._vertex_keys = seen
         return self._vertex_points
+
+    def singular_points(self) -> list[ComplexPoint]:
+        """The vertices whose link is not one circle of length 2*pi, in
+        `vertex_points` order: the only places where a shortest path can
+        bend."""
+        if self._singular is None:
+            from . import links
+            verts = self.vertex_points()
+            flat = [links.link_at(self.comp, v).is_flat() for v in verts]
+            self._singular = [v for v, f in zip(verts, flat) if not f]
+            self._singular_keys = {v.key() for v in self._singular}
+            self._flat_corners = {c for c, i in self.vid_map().items()
+                                  if flat[i]}
+        return self._singular
 
     def _chord_graph(self):
         if self._chord is not None:
@@ -773,9 +827,10 @@ class GeodesicEngine:
         return best, best_segs
 
     def _vertex_table(self, radius: float):
+        """Direct pieces between the singular vertices."""
         if self._vv is not None and self._vv_radius >= radius - 1e-12:
             return self._vv
-        verts = self.vertex_points()
+        verts = self.singular_points()
         table = {}
         for i, v in enumerate(verts):
             tv = self.tree(v, radius)
@@ -796,6 +851,10 @@ class GeodesicEngine:
         comp = self.comp
         if x == y:
             return 0.0, (_trivial_path(comp, x) if need_path else None)
+        inner = self._inner_chord(x, y)
+        if inner is not None:
+            ln, seg = inner
+            return ln, (self._finalize_path([seg], x) if need_path else None)
         swap = False
         tx = self._cached_tree(x.key())
         ty = self._cached_tree(y.key())
@@ -812,14 +871,42 @@ class GeodesicEngine:
         if math.isinf(ub):
             ub = self._coarse_bound(x, y)
         if math.isinf(ub):
-            raise Disconnected("no path between the given points")
+            raise self._disconnected(tx)
         R = ub * (1 + 1e-9) + 1e-12
         if tx is None or tx.radius < R:
             tx = self.tree(x, R)
         res = self._assemble(tx, x, y, need_path)
         if res is None:
-            raise Disconnected("no path between the given points")
+            raise self._disconnected(tx)
         return self._orient(res, swap)
+
+    def _disconnected(self, tx: _SourceTree | None) -> Disconnected:
+        radius, devs = (tx.radius, len(tx.cid)) if tx is not None else (0.0, 0)
+        return Disconnected(
+            f"no path between the given points: source tree of radius "
+            f"{radius:.6g} with {devs} developments, "
+            f"{len(self.singular_points())} singular vertices")
+
+    def _inner_chord(self, x: ComplexPoint, y: ComplexPoint):
+        """(length, segment) of the chord xy when x lies inside a 2-cell
+        holding y and is nearer to y than to that cell's boundary, else
+        None.  A path that leaves the convex cell is at least that long, so
+        the chord is the geodesic.  The length is summed as for a root
+        development in `_SourceTree.candidates`, so it is the same float."""
+        if len(x.carrier) != 3:
+            return None
+        yb = dict(y.representations(self.comp)).get(x.cid)
+        if yb is None:
+            return None
+        cell = self.comp.cells[x.cid]
+        d = yb @ cell.coords - x.bary @ cell.coords
+        ln = float(np.hypot(d[0], d[1]))
+        # the distance to the edge opposite vertex i is bary[i] times the
+        # height 2 * area / |edge i|
+        L = cell.lengths
+        inner = 2.0 * cell.volume * min(
+            x.bary[0] / L[1, 2], x.bary[1] / L[0, 2], x.bary[2] / L[0, 1])
+        return (ln, (x.cid, x.bary, yb)) if ln + 1e-12 < inner else None
 
     def _orient(self, res, swap: bool):
         total, path = res
@@ -829,15 +916,16 @@ class GeodesicEngine:
 
     def _assemble(self, tx: _SourceTree, x: ComplexPoint, y: ComplexPoint,
                   need_path: bool):
-        """Dijkstra over {source} + vertex classes + {target} with exact
+        """Dijkstra over {source} + singular vertices + {target} with exact
         direct pieces; returns (total, path|None) or None if unreachable
         within the available trees."""
         d0, segs0 = self._direct(tx, x, y)
-        verts = self.vertex_points()
+        verts = self.singular_points()
         if tx.to_vertex is None:
             tx.to_vertex = tuple(self._direct(tx, x, v)[0] for v in verts)
-        # a path bending at a vertex is at least as long as the closest
-        # vertex, so a shorter validated direct segment is already optimal
+        # a path that bends does so at a singular vertex, so it is at least
+        # as long as the closest one: a shorter validated direct segment is
+        # already optimal
         if d0 < math.inf and all(dv >= d0 - 1e-12 for dv in tx.to_vertex):
             if not need_path:
                 return d0, None

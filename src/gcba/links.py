@@ -255,6 +255,15 @@ class LinkSpace:
         b1 = len(self.arcs) - n + b0
         return b0, b1
 
+    def is_flat(self) -> bool:
+        """True when the link is one circle of length 2*pi (within 1e-12):
+        connected, every node an end of exactly two arcs.  A vertex with
+        such a link has a Euclidean disc as neighbourhood."""
+        deg = np.bincount(self._ends.ravel(), minlength=len(self.nodes))
+        return (len(self.nodes) > 0 and bool(np.all(deg == 2))
+                and self.betti()[0] == 1
+                and abs(float(self._len.sum()) - 2 * PI) <= 1e-12)
+
     # -- sampling -------------------------------------------------------------
 
     def samples(self, resolution: float):

@@ -1,17 +1,22 @@
-"""The gate table, array source trees and grid-torus closed forms.
+"""The gate table, array source trees, singular vertices and grid-torus
+closed forms.
 
 The grid tori come from `bench/gridtorus.py`, put on the path as
-`bench/conftest.py` does."""
+`bench/conftest.py` does.  Every vertex of a grid torus is flat, so its
+geodesics are straight lines that may run through vertices."""
 
+import functools
 import glob
+import math
 import os
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings as hsettings, strategies as st
 
-from gcba import corpus
+from gcba import complexes, corpus
 from gcba import geodesics as geo
 from gcba.complexes import ComplexError, build_complex, load_complex
 from gcba.config import DEFAULTS
@@ -45,9 +50,39 @@ def _assert_closed_form(comp, n, pairs):
         assert path.length == pytest.approx(d, abs=1e-9), (p, q)
 
 
-@pytest.mark.parametrize("n", [2, 4])
+@functools.lru_cache(maxsize=None)
+def _grid(n):
+    """One grid torus per size, shared so its engine's trees are reused."""
+    return grid_torus(n)
+
+
+# (0.5, 0.5) is a vertex of every grid below; (0.25, 0.25), (0.25, 0.75),
+# (0.75, 0.75) and (0.75, 0.25) are vertices for n >= 4, (0.625, 0.75) for
+# n >= 8
+THROUGH_VERTICES = [
+    ((0.45, 0.4), (0.6, 0.7)),       # slope 2 through (0.5, 0.5)
+    ((0.35, 0.45), (0.8, 0.6)),      # slope 1/3 through (0.5, 0.5)
+    ((0.48, 0.46), (0.66, 0.82)),    # slope 2, also through (0.625, 0.75)
+    ((0.2, 0.8), (0.55, 0.45)),      # slope -1 across two square corners
+    ((0.1, 0.1), (0.4, 0.4)),        # along diagonal edges
+    ((0.45, 0.45), (0.8, 0.8)),      # along diagonal edges, two vertices
+    ((0.3, 0.5), (0.7, 0.5)),        # along a horizontal grid line
+    ((0.25, 0.1), (0.25, 0.55)),     # along a vertical grid line
+]
+# vertex sources, vertex targets and vertex-to-vertex pairs
+AT_VERTICES = [
+    ((0.5, 0.5), (0.83, 0.31)),
+    ((0.12, 0.64), (0.25, 0.75)),
+    ((0.5, 0.5), (0.75, 0.25)),
+    ((0.25, 0.75), (0.5, 0.5)),
+    ((0.0, 0.0), (0.5, 0.5)),
+]
+
+
+@pytest.mark.parametrize("n", [2, 4, 8, 16])
 def test_grid_torus_closed_form(n):
-    comp = grid_torus(n)
+    # a 16 x 16 grid takes minutes when every vertex is a bending point
+    comp = _grid(n)
     rng = np.random.default_rng(n)
     pairs = [(tuple(rng.random(2)), tuple(rng.random(2))) for _ in range(12)]
     # both points on grid lines, and a pair along one grid line
@@ -55,10 +90,150 @@ def test_grid_torus_closed_form(n):
     pairs += [((k[0] / n, 0.3), (0.7, k[1] / n)),
               ((0.15, k[2] / n), (0.9, k[3] / n)),
               ((k[0] / n, 0.2), (k[0] / n, 0.65))]
-    if n == 4:
-        # the segment passes straight through the grid vertex (0.25, 0.25)
-        pairs.append(((0.1, 0.1), (0.4, 0.4)))
-    _assert_closed_form(comp, n, pairs)
+    _assert_closed_form(comp, n, pairs + THROUGH_VERTICES + AT_VERTICES)
+
+
+lattice = st.integers(0, 31)
+
+
+@given(st.sampled_from([2, 4, 8]), lattice, lattice, lattice, lattice)
+@hsettings(max_examples=40, deadline=None)
+def test_grid_lattice_points_closed_form(n, i, j, k, m):
+    # points k / (2n): vertices, edge midpoints and square centres, whose
+    # geodesics often run along edges and through vertices
+    h = 1.0 / (2 * n)
+    _assert_closed_form(_grid(n), n, [((i * h, j * h), (k * h, m * h))])
+
+
+def test_extend_through_the_flat_torus_vertex():
+    # each tail runs straight through the torus's one vertex, (1, 1); the
+    # second along the diagonal edge into it.  The counts are those of the
+    # parent engine, which continued at the vertex in `shoot`.
+    comp = corpus.flat_torus()
+    eng = geo.engine(comp)
+    for p, q, delta, counts in (((0.5, 0.6), (0.75, 0.8), 0.5, [1]),
+                                ((0.5, 0.5), (0.7, 0.7), 0.6, [1]),
+                                ((0.3, 0.5), (0.6, 0.75), 0.7, [1, 1])):
+        d, path = eng.distance(corpus.torus_point(comp, *p),
+                               corpus.torus_point(comp, *q))
+        ext, count, junctions = geo.extend_geodesic(comp, path, delta)
+        assert (count, junctions) == (1, counts)
+        assert ext.length == pytest.approx(d + delta, abs=1e-12)
+        u = (np.array(q) - p) / d
+        end = corpus.torus_point(comp, *((np.array(q) + delta * u) % 1.0))
+        assert eng.distance(ext.end, end, need_path=False)[0] <= 1e-12
+
+
+def _fan(angles, pinch: bool = False):
+    """Triangles with unit sides around apex slot 0 and the given apex
+    angles, consecutive outer sides glued into a closed cone; with `pinch`,
+    two such cones with their apexes glued."""
+    specs, gluings = [], []
+    for copy in range(2 if pinch else 1):
+        base = copy * len(angles)
+        for i, ang in enumerate(angles):
+            far = math.sqrt(2 - 2 * math.cos(ang))
+            specs.append((2, np.array([[0.0, 1.0, 1.0], [1.0, 0.0, far],
+                                       [1.0, far, 0.0]])))
+            j = (i + 1) % len(angles)
+            gluings.append(((base + i, (0, 2)), (base + j, (0, 1)), (0, 1)))
+    if pinch:
+        gluings.append(((0, (0,)), (len(angles), (0,)), (0,)))
+    return build_complex(specs, gluings)
+
+
+def _apex_is_singular(comp) -> bool:
+    apex = complexes.point(comp, 0, [1.0, 0.0, 0.0])
+    return apex.key() in {v.key() for v in geo.engine(comp).singular_points()}
+
+
+def test_singular_vertex_classification():
+    eng = geo.engine(corpus.flat_torus())
+    assert len(eng.vertex_points()) == 1 and eng.singular_points() == []
+    for build in (corpus.theta_times_circle, corpus.three_page_book,
+                  corpus.segment_wedge_square, corpus.pillowcase):
+        eng = geo.engine(build())
+        assert eng.singular_points() == eng.vertex_points(), build.__name__
+    assert geo.engine(_grid(4)).singular_points() == []
+    # a closed fan of four right corners is a flat disc: its apex is flat,
+    # its rim vertices lie on the boundary
+    disc = _fan([math.pi / 2] * 4)
+    assert not _apex_is_singular(disc)
+    assert len(geo.engine(disc).singular_points()) == \
+        len(geo.engine(disc).vertex_points()) - 1
+    # cone angle 4 pi, and a pinch whose link is two circles of 2 pi
+    assert _apex_is_singular(_fan([math.pi / 2] * 8))
+    assert _apex_is_singular(_fan([math.pi / 2] * 4, pinch=True))
+
+
+def _record_trees(monkeypatch):
+    """List that collects (source key, radius) of every source tree built."""
+    built = []
+    init = geo._SourceTree.__init__
+
+    def record(self, engine, x, radius):
+        built.append((x.key(), round(radius, 9)))
+        init(self, engine, x, radius)
+
+    monkeypatch.setattr(geo._SourceTree, "__init__", record)
+    return built
+
+
+def test_grid_query_builds_no_vertex_layer(monkeypatch):
+    built = _record_trees(monkeypatch)
+    comp = grid_torus(4)
+    eng = geo.engine(comp)
+    x, y = grid_point(comp, 4, 0.13, 0.71), grid_point(comp, 4, 0.62, 0.2)
+    d, _ = eng.distance(x, y)
+    assert d == pytest.approx(torus_distance((0.13, 0.71), (0.62, 0.2)),
+                              abs=1e-9)
+    assert [key for key, _ in built] == [x.key()]
+    assert eng._vertex_trees == {} and eng._vv is None
+
+
+def test_theta_s1_vertex_layer_builds_the_same_trees(monkeypatch):
+    # both vertices of theta x S^1 are singular; the trees are those the
+    # engine built when every vertex was threaded
+    built = _record_trees(monkeypatch)
+    comp = corpus.theta_times_circle()
+    eng = geo.engine(comp)
+    d, _ = eng.distance(corpus.square_point(comp, 0, 0.2, 0.3),
+                        corpus.square_point(comp, 2, 0.7, 0.6))
+    assert d == pytest.approx(math.hypot(0.9, 0.3), abs=1e-9)
+    assert built == [((1, (0, 1, 2), (7000000000, 2000000000, 1000000000)),
+                      1.282509575),
+                     ((0, (0,), (10000000000,)), 2.828427125),
+                     ((0, (2,), (10000000000,)), 2.828427125)]
+    assert len(eng._vertex_trees) == 2 and eng._vv is not None
+
+
+def test_inner_chord_needs_no_tree(monkeypatch):
+    # a chord shorter than the distance to the cell's boundary is the
+    # geodesic; it comes out as the same float as the tree's root candidate
+    built = _record_trees(monkeypatch)
+    comp = corpus.flat_torus()
+    eng = geo.engine(comp)
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        b = rng.dirichlet([4.0, 4.0, 4.0], size=2)
+        x = complexes.point(comp, 0, b[0])
+        y = complexes.point(comp, 0, 0.9 * b[0] + 0.1 * b[1])
+        d, path = eng.distance(x, y)
+        assert path.start == x and path.end == y
+        tree = geo._SourceTree(eng, x, d * 1.5)
+        assert d == eng._assemble(tree, x, y, need_path=False)[0]
+    assert len(built) == 20     # the 20 reference trees only
+
+
+def test_disconnected_names_the_search():
+    tri = 1 - np.eye(3)
+    comp = build_complex([(2, tri), (2, tri)], [])
+    x = complexes.point(comp, 0, [0.2, 0.3, 0.5])
+    y = complexes.point(comp, 1, [0.2, 0.3, 0.5])
+    with pytest.raises(geo.Disconnected,
+                       match=r"radius 0 with 0 developments, "
+                             r"6 singular vertices"):
+        geo.engine(comp).distance(x, y)
 
 
 def test_gate_table_places_neighbours_across_the_edge():
@@ -164,7 +339,6 @@ def test_cached_tree_memory_is_small():
     n = 4
     comp = grid_torus(n)
     eng = geo.engine(comp)
-    eng._vertex_table(2.0)    # sized once, so no query below rebuilds it
     uv = np.random.default_rng(0).random((10, 2))
     sources = [grid_point(comp, n, u, v) for u, v in uv]
     targets = [grid_point(comp, n, u + 0.5, v + 0.5) for u, v in uv]
