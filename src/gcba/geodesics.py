@@ -13,12 +13,17 @@ A shortest path bends only at singular vertices.  A vertex is flat when its
 link is one circle of length 2*pi; it then has a Euclidean disc as a
 neighbourhood, so a shortest path through it is straight there: its two
 directions are at link distance pi (Bridson-Haefliger I.5).  A ray walk goes
-on through a flat vertex along that one antipode, as `shoot` does, and paths
-that bend are assembled by a Dijkstra layer threaded over the singular
-vertices only (boundary vertices, vertices on a 1-cell, pinches and cone
-points of angle other than 2*pi).  Complexes have dimension <= 2 and flat
-cells (load rejects anything else), so every distance takes this route and
-is exact to about 1e-9.
+on through a flat vertex along that one antipode, as `shoot_from_state` does,
+and paths that bend are assembled by a Dijkstra layer threaded over the
+singular vertices only (boundary vertices, vertices on a 1-cell, pinches and
+cone points of angle other than 2*pi).  Complexes have dimension <= 2 and
+flat cells (load rejects anything else), so every distance takes this route
+and is exact to about 1e-9.
+
+A direction at a point x is a point of its space of directions,
+`links.link_at(comp, x)`: `log_map` locates the first segment of a geodesic
+there once, and the angle at x between two geodesics is the link distance of
+their directions (BH I.7).
 """
 
 from __future__ import annotations
@@ -48,27 +53,7 @@ class NoContinuation(GeodesicError):
 
 
 # ---------------------------------------------------------------------------
-# path and direction types
-
-
-@dataclass(frozen=True)
-class Direction:
-    """Unit tangent vector at a point, in its carrier cell's shape coords.
-
-    `anchor` is the barycentric expression of the base point inside the
-    carrier cell; it disambiguates which corner/edge slot the vector sits at
-    when the base point's face class meets the carrier in several slots."""
-
-    base: ComplexPoint
-    cid: int
-    vec: tuple
-    anchor: tuple = ()
-
-    def array(self) -> np.ndarray:
-        return np.asarray(self.vec)
-
-    def anchor_xy(self, comp: MetricComplex) -> np.ndarray:
-        return np.asarray(self.anchor) @ comp.cells[self.cid].coords
+# paths
 
 
 @dataclass
@@ -81,21 +66,18 @@ class GeodesicPath:
     deviations: list    # turning deviation from pi at interior breakpoints
 
     @property
-    def points(self) -> list[ComplexPoint]:
-        if not self.segs:
-            return [self._single]
-        pts = [ComplexPoint(self.comp, self.segs[0][0], self.segs[0][1])]
-        for cid, _, b1 in self.segs:
-            pts.append(ComplexPoint(self.comp, cid, b1))
-        return pts
-
-    @property
     def start(self) -> ComplexPoint:
-        return self.points[0]
+        if not self.segs:
+            return self._single
+        cid, b0, _ = self.segs[0]
+        return ComplexPoint(self.comp, cid, b0)
 
     @property
     def end(self) -> ComplexPoint:
-        return self.points[-1]
+        if not self.segs:
+            return self._single
+        cid, _, b1 = self.segs[-1]
+        return ComplexPoint(self.comp, cid, b1)
 
     def seg_lengths(self) -> list[float]:
         out = []
@@ -117,25 +99,11 @@ class GeodesicPath:
         cid, _, b1 = self.segs[-1]
         return ComplexPoint(self.comp, cid, b1)
 
-    def _seg_dir(self, i: int, at_end: bool):
+    def heading(self, i: int):
+        """(cid, unit vector) of segment i, in its cell's shape coords."""
         cid, b0, b1 = self.segs[i]
-        co = self.comp.cells[cid].coords
-        v = (np.asarray(b1) - np.asarray(b0)) @ co
-        n = np.linalg.norm(v)
-        anchor = b1 if at_end else b0
-        base = ComplexPoint(self.comp, cid, anchor)
-        return Direction(base=base, cid=cid, vec=tuple(v / n),
-                         anchor=tuple(anchor))
-
-    def direction_at_start(self) -> Direction | None:
-        if not self.segs or self.length == 0.0:
-            return None
-        return self._seg_dir(0, at_end=False)
-
-    def direction_at_end(self) -> Direction | None:
-        if not self.segs or self.length == 0.0:
-            return None
-        return self._seg_dir(len(self.segs) - 1, at_end=True)
+        v = (np.asarray(b1) - np.asarray(b0)) @ self.comp.cells[cid].coords
+        return cid, v / np.linalg.norm(v)
 
     def is_local_geodesic(self, tol: float) -> bool:
         return all(d <= tol for d in self.deviations)
@@ -201,11 +169,10 @@ class _LRU(OrderedDict):
             self.popitem(last=False)
 
 
-# bounds of the per-engine caches of source trees (vertex trees excluded),
-# edge positions and candidate cells
+# bounds of the per-engine caches of source trees (vertex trees excluded)
+# and edge positions
 _TREE_CACHE_SIZE = 512
 _EDGE_POS_CACHE_SIZE = 1024
-_CAND_CELLS_CACHE_SIZE = 256
 
 
 # ---------------------------------------------------------------------------
@@ -473,8 +440,7 @@ class GeodesicEngine:
     * edge positions of points, the vertex table and the chord graph (the
       chord graph keeps every vertex: there a vertex is only a bound);
     * links (`links.link_at`), one per open face, so the complex bounds
-      their number; each keeps its spherical-tuple searches;
-    * candidate cells (`candidate_cells`).
+      their number; each keeps its spherical-tuple searches.
 
     The LRU caches have fixed sizes.  Queries mutate the caches, so
     concurrent use is not safe.  Settings are read from the complex.
@@ -496,7 +462,6 @@ class GeodesicEngine:
         self._vv_radius = -1.0
         self._edge_pos_cache = _LRU(_EDGE_POS_CACHE_SIZE)
         self._link_cache: dict = {}
-        self._cand_cells = _LRU(_CAND_CELLS_CACHE_SIZE)
         self._chord = None
         self._vid_cache: dict = {}
         self.gates = _gate_table(comp)
@@ -576,12 +541,9 @@ class GeodesicEngine:
                     return _RayOutcome("corner", segs, cid=cid, xy=q_hit,
                                        vec=w, counts=counts)
                 # straight on through a flat vertex: the one antipode of the
-                # incoming direction, as `shoot` continues there
-                hit = ComplexPoint(comp, cid, b_hit)
-                back = Direction(base=hit, cid=cid, vec=tuple(-w),
-                                 anchor=tuple(b_hit))
+                # incoming direction, as `shoot_from_state` continues there
                 step: list = []
-                _, cid, q, w = _continue_past(comp, hit, back, step)
+                _, cid, q, w = _continue_past(comp, cid, b_hit, -w, step)
                 if counts is not None:
                     counts = counts + step
                 rem -= t_exit
@@ -1045,35 +1007,26 @@ def comparison_angle(comp: MetricComplex, x: ComplexPoint, y: ComplexPoint,
 
 def angle(comp: MetricComplex, x: ComplexPoint, y: ComplexPoint,
           z: ComplexPoint) -> float:
-    """Angle at x between the geodesics xy and xz (link metric, in [0, pi])."""
+    """Angle at x between the geodesics xy and xz: the link distance of
+    their directions (BH I.7), in [0, pi]."""
     if x == y or x == z:
         raise GeodesicError("degenerate: y or z equals x")
-    eng = engine(comp)
-    _, pxy = eng.distance(x, y)
-    _, pxz = eng.distance(x, z)
-    return direction_angle(comp, x, pxy.direction_at_start(),
-                           pxz.direction_at_start())
-
-
-def direction_angle(comp: MetricComplex, x: ComplexPoint,
-                    d1: Direction, d2: Direction) -> float:
-    """Link distance between two directions based at x."""
-    cell = comp.cells[x.cid]
-    interior = len(x.carrier) == cell.nverts and cell.dim >= 1
-    if interior and d1.cid == d2.cid:
-        cosang = float(np.dot(d1.array(), d2.array()))
-        return math.acos(min(1.0, max(-1.0, cosang)))
     from . import links
-    L = links.link_at(comp, x)
-    return L.dist(L.locate(d1), L.locate(d2))
+    return links.link_at(comp, x).dist(log_map(comp, x, y)[1],
+                                       log_map(comp, x, z)[1])
 
 
 def log_map(comp: MetricComplex, x: ComplexPoint, y: ComplexPoint):
-    """(t, Direction): distance and initial direction of xy; (0, None) at x."""
+    """(t, v): the distance of xy and its initial direction v, a point of
+    `links.link_at(comp, x)`; (0, None) at x."""
     if x == y:
         return 0.0, None
     d, path = engine(comp).distance(x, y)
-    return d, path.direction_at_start()
+    if not path.segs:
+        return d, None
+    from . import links
+    cid, vec = path.heading(0)
+    return d, links.link_at(comp, x).locate(x, cid, path.segs[0][1], vec)
 
 
 def contraction(comp: MetricComplex, x: ComplexPoint, R: float, r: float,
@@ -1091,31 +1044,15 @@ def contraction(comp: MetricComplex, x: ComplexPoint, R: float, r: float,
 # shooting and extension
 
 
-def shoot(comp: MetricComplex, x: ComplexPoint, direction: Direction,
-          length: float):
-    """Walk a local geodesic from x with the given initial direction.
+def shoot_from_state(comp: MetricComplex, x: ComplexPoint, state: tuple,
+                     length: float):
+    """Walk a local geodesic of the given length from x, starting from a
+    walker state ("edge", cid, t, sgn) or ("ray", cid, xy, vec) as
+    `LinkSpace.realize` produces it.
 
     Returns (GeodesicPath, junction_counts).  Branches are resolved
     deterministically (smallest continuation carrier); counts record the
     number of admissible continuations at each junction passed."""
-    cid = direction.cid
-    cell = comp.cells[cid]
-    anchor = np.asarray(direction.anchor if direction.anchor
-                        else dict(x.representations(comp))[cid])
-    vec = direction.array()
-    if cell.dim == 1:
-        L = float(cell.lengths[0, 1])
-        state = ("edge", cid, float(anchor[1]) * L,
-                 1.0 if vec[0] >= 0 else -1.0)
-    else:
-        state = ("ray", cid, anchor @ cell.coords, vec)
-    return shoot_from_state(comp, x, state, length)
-
-
-def shoot_from_state(comp: MetricComplex, x: ComplexPoint, state: tuple,
-                     length: float):
-    """Like `shoot`, starting from a walker state ("edge", cid, t, sgn) or
-    ("ray", cid, xy, vec) as produced by the link realization."""
     eng = engine(comp)
     segs: list = []
     counts: list[int] = []
@@ -1133,12 +1070,9 @@ def shoot_from_state(comp: MetricComplex, x: ComplexPoint, state: tuple,
             rem -= walked
             if out.status == "inside" or rem <= 1e-12:
                 break
-            hit = ComplexPoint(comp, out.cid,
-                               eng.bary_from_xy(out.cid, out.xy))
-            back = Direction(base=hit, cid=out.cid,
-                             vec=tuple(-np.asarray(out.vec)),
-                             anchor=tuple(eng.bary_from_xy(out.cid, out.xy)))
-            state = _continue_past(comp, hit, back, counts)
+            state = _continue_past(comp, out.cid,
+                                   eng.bary_from_xy(out.cid, out.xy),
+                                   -np.asarray(out.vec), counts)
         else:
             _, ecid, tpos, sgn = state
             L = float(comp.cells[ecid].lengths[0, 1])
@@ -1152,20 +1086,18 @@ def shoot_from_state(comp: MetricComplex, x: ComplexPoint, state: tuple,
             rem -= step
             if rem <= 1e-12:
                 break
-            hit = ComplexPoint(comp, ecid, b1)
-            back = Direction(base=hit, cid=ecid, vec=(-sgn,),
-                             anchor=tuple(b1))
-            state = _continue_past(comp, hit, back, counts)
+            state = _continue_past(comp, ecid, b1, (-sgn,), counts)
     path = eng._finalize_path(segs, x)
     return path, counts
 
 
-def _continue_past(comp, hit, back: Direction, counts):
-    """Continuation states at distance >= pi from `back` in the link at hit."""
+def _continue_past(comp, cid, bary, back, counts):
+    """Continuation states at the point hit = (cid, bary) at link distance
+    >= pi from the direction `back` there, a vector in cell cid."""
     from . import links
+    hit = ComplexPoint(comp, cid, bary)
     L = links.link_at(comp, hit)
-    back_pt = L.locate(back)
-    conts = links.antipodes(L, back_pt,
+    conts = links.antipodes(L, L.locate(hit, cid, bary, back),
                             comp.settings.angle_tolerance * 10 + 1e-9)
     states = [L.realize(p, hit) for p in conts]
     if not states:
@@ -1187,10 +1119,18 @@ def extend_geodesic(comp: MetricComplex, path: GeodesicPath, delta: float):
     Returns (extended_path, continuation_count, per_junction_counts)."""
     if not path.is_local_geodesic(comp.settings.angle_tolerance):
         raise GeodesicError("input path fails the local-geodesic certificate")
-    d_end = path.direction_at_end()
-    if d_end is None:
+    if not path.segs:
         raise GeodesicError("cannot extend a trivial path")
-    tail, counts = shoot(comp, path.end, d_end, delta)
+    # the walker state of the last segment's direction at its end
+    cid, vec = path.heading(-1)
+    cell = comp.cells[cid]
+    b1 = np.asarray(path.segs[-1][2])
+    if cell.dim == 1:
+        state = ("edge", cid, float(b1[1]) * float(cell.lengths[0, 1]),
+                 1.0 if vec[0] >= 0 else -1.0)
+    else:
+        state = ("ray", cid, b1 @ cell.coords, vec)
+    tail, counts = shoot_from_state(comp, path.end, state, delta)
     ext = concatenate(path, tail)
     branching = [c for c in counts if c > 1]
     return ext, (branching[0] if branching else 1), counts
@@ -1269,7 +1209,7 @@ def log_almost_isometry_check(comp: MetricComplex, x: ComplexPoint,
             if v1 is None or v2 is None:
                 dc = abs(t1 - t2)
             else:
-                a = L.dist(L.locate(v1), L.locate(v2))
+                a = L.dist(v1, v2)
                 dc = math.sqrt(max(
                     0.0, t1 * t1 + t2 * t2 - 2 * t1 * t2 * math.cos(a)))
             if abs(d12 - dc) > eps * r + 1e-9:
@@ -1283,10 +1223,6 @@ def log_almost_isometry_check(comp: MetricComplex, x: ComplexPoint,
 def candidate_cells(comp: MetricComplex, x: ComplexPoint, r: float):
     """Top-dimensional cells that can meet B_r(x) (vertex-distance prune)."""
     eng = engine(comp)
-    key = (x.key(), round(r, 9))
-    hit = eng._cand_cells.get(key)
-    if hit is not None:
-        return hit
     verts = eng.vertex_points()
     vdist = [eng.distance(x, vp, need_path=False)[0] for vp in verts]
     vids = eng.vid_map()
@@ -1298,7 +1234,6 @@ def candidate_cells(comp: MetricComplex, x: ComplexPoint, r: float):
         dmin = min(vdist[vids[(c.cid, s)]] for s in range(c.nverts))
         if dmin - diam <= r:
             keep.append(c)
-    eng._cand_cells[key] = keep
     return keep
 
 

@@ -17,6 +17,12 @@ coordinates: each node and arc records a cell slot of the face (an index into
 `LinkSpace.realize(p, x)` turns a link point into a walker state at the point
 x of the face from x's barycentric coordinates in that slot.
 
+A link point is the one form of a direction at a point: `geodesics.log_map`
+returns the direction of a geodesic as the link point that
+`LinkSpace.locate(x, cid, bary, vec)` finds for the vector of its first
+segment, and the angle between two geodesics is the link distance of their
+directions (BH I.7).
+
 Point sets are held in one array form, `_Form`: per point its arc (negative
 for a node) and its distances t, tj along it to the arc's ends i, j.  The
 metric has one implementation, `LinkSpace.dist_matrix`: a point's row of
@@ -38,7 +44,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .complexes import ComplexPoint, MetricComplex
-from .geodesics import Direction, _dijkstra, engine
+from .geodesics import _dijkstra, engine
 
 PI = math.pi
 # slopes of the four lines whose min is t -> raw_dist(x, ("arc", a, t)): from
@@ -365,28 +371,25 @@ class LinkSpace:
             raise LinkError(f"{x!r} does not lie on this link's open face")
         return x.representations(self.comp)[slot]
 
-    def locate(self, d) -> tuple:
-        """Link point of a Direction based at a point of this link's face."""
-        if not isinstance(d, Direction):
-            return d
-        comp = self.comp
-        cell = comp.cells[d.cid]
+    def locate(self, x: ComplexPoint, cid: int, bary, vec) -> tuple:
+        """Link point of the direction `vec` at x, a point of this link's
+        face: a unit vector in the 2-cell cid, or a 1-vector whose sign
+        points along the 1-cell cid.  `bary` are x's barycentric coordinates
+        in cid; they pick the slot when x's face meets cid in several."""
+        cell = self.comp.cells[cid]
         if cell.dim == 1:
-            sgn = 1.0 if d.vec[0] >= 0 else -1.0
+            sgn = 1.0 if vec[0] >= 0 else -1.0
             for i, nd in enumerate(self.nodes):
-                cid, b = self._slot(d.base, nd.slot)
-                if cid == d.cid and nd.vec == sgn and (not d.anchor or abs(
-                        b[1] - d.anchor[1]) * cell.lengths[0, 1] < 1e-6):
+                scid, b = self._slot(x, nd.slot)
+                if scid == cid and nd.vec == sgn and abs(
+                        b[1] - bary[1]) * cell.lengths[0, 1] < 1e-6:
                     return ("node", i)
             raise LinkError("1-cell direction not represented in this link")
-        anchor_xy = (d.anchor_xy(comp) if d.anchor
-                     else dict(d.base.representations(comp))[d.cid]
-                     @ cell.coords)
-        vec = d.array()
+        anchor_xy = np.asarray(bary) @ cell.coords
         best = None
         for ai, a in enumerate(self.arcs):
-            cid, b = self._slot(d.base, a.slot)
-            if cid != d.cid or np.linalg.norm(
+            scid, b = self._slot(x, a.slot)
+            if scid != cid or np.linalg.norm(
                     b @ cell.coords - anchor_xy) > 1e-7:
                 continue
             c = float(np.dot(vec, a.b1))
@@ -550,7 +553,7 @@ def antipodes(L: LinkSpace, v, tol: float):
     directions at distance >= pi - tol from v."""
     if not L.nodes:
         raise LinkError("empty link")
-    regions = L.antipode_regions(L.locate(v), tol)
+    regions = L.antipode_regions(v, tol)
     return [r["rep"] for r in regions]
 
 
@@ -559,7 +562,7 @@ def is_delta_spherical(L: LinkSpace, v, vbar, delta: float,
     """Exhaustive check of sup_w [d(v,w) + d(w,vbar)] < pi + delta.
 
     Returns (ok, worst_witness, sup_value)."""
-    sups, args = L.max_sum(L.locate(v), [L.locate(vbar)])
+    sups, args = L.max_sum(v, [vbar])
     s = float(sups[0])
     return (s < PI + delta - margin), args[0], s
 

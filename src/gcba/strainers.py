@@ -36,7 +36,10 @@ class Strainer:
     points: list[ComplexPoint]
     opposites: list[ComplexPoint]
     delta: float
-    angle_matrix: np.ndarray       # angles p_i x p_j and p_i x q_j stacked
+    # angles p_i x p_j and p_i x q_j stacked, (k, 2k): the link distances of
+    # the found tuple's directions, which are the angles (BH I.7) because
+    # the reach check certifies each shot segment as a shortest path
+    angle_matrix: np.ndarray
     radius_estimate: float = 0.0   # straining-radius estimate
 
     @property
@@ -76,13 +79,12 @@ class StrainerMap:
 def directions_to(comp: MetricComplex, x: ComplexPoint,
                   targets) -> list:
     """Link points of the initial directions of the geodesics x -> target."""
-    L = lk.link_at(comp, x)
     out = []
     for t in targets:
         _, v = geo.log_map(comp, x, t)
         if v is None:
             raise StrainerError("target coincides with the base point")
-        out.append(L.locate(v))
+        out.append(v)
     return out
 
 
@@ -114,7 +116,9 @@ def is_strained(comp: MetricComplex, x: ComplexPoint, k: int, delta: float,
                 reach: float = 0.2,
                 estimate_radius: bool = False) -> Strainer | None:
     """Search the link of x for a delta-spherical k-tuple and realize it as
-    strainer points at distance `reach` (halved until minimizing).
+    strainer points at distance `reach`, halved up to five times until each
+    shot segment is a shortest path (its end lies at distance r from x);
+    raises StrainerError when no reach tried certifies that.
 
     The straining-radius estimate is an extra sampled computation; pass
     estimate_radius=True (or call straining_radius) when it is needed."""
@@ -123,9 +127,8 @@ def is_strained(comp: MetricComplex, x: ComplexPoint, k: int, delta: float,
     if found is None:
         return None
     eng = geo.engine(comp)
-    pts, opps = [], []
-    r = reach
-    for _ in range(6):
+    for i in range(6):
+        r = reach / 2.0 ** i
         try:
             pts = [_realize_point(comp, x, L, v, r) for v in found["v"]]
             opps = [_realize_point(comp, x, L, w, r) for w in found["vbar"]]
@@ -134,10 +137,13 @@ def is_strained(comp: MetricComplex, x: ComplexPoint, k: int, delta: float,
         dists = [eng.distance(x, p, need_path=False)[0] for p in pts + opps]
         if all(abs(d - r) <= 1e-7 * max(1.0, r) for d in dists):
             break
-        r /= 2.0
-    angles = _angle_matrix(comp, x, pts, opps)
+    else:
+        raise StrainerError(
+            f"no reach certifies the {k}-strainer at {x!r}: the shot points "
+            f"are not at distance {r:.6g}, the last reach tried")
+    v = list(found["v"])
     s = Strainer(center=x, points=pts, opposites=opps, delta=delta,
-                 angle_matrix=angles)
+                 angle_matrix=L.dist_matrix(v, v + list(found["vbar"])))
     if estimate_radius:
         s.radius_estimate = min(r / 2.0, straining_radius(
             comp, s, n_ball=4, n_probe=4))
@@ -164,8 +170,9 @@ def _angle_matrix(comp, x, pts, opps) -> np.ndarray:
 
 
 def verify_strainer(comp: MetricComplex, s: Strainer):
-    """Re-derive the starting directions and check Def. 6.3 at level delta,
-    plus consistency of the stored angle matrix with angle()."""
+    """Re-derive the starting directions and check Def. 6.3 at level 2*delta,
+    plus consistency of the stored angle matrix with angles recomputed by
+    angle() from geodesics to the realized points."""
     L = lk.link_at(comp, s.center)
     vs = directions_to(comp, s.center, s.points)
     ws = directions_to(comp, s.center, s.opposites)
@@ -181,10 +188,8 @@ def is_one_strainer_at(comp: MetricComplex, p: ComplexPoint, x: ComplexPoint,
     delta-spherical in the link of x."""
     if p == x:
         return False
-    L = lk.link_at(comp, x)
     _, v = geo.log_map(comp, x, p)
-    vpt = L.locate(v)
-    vbar, s = lk._best_opposite(L, vpt)
+    vbar, s = lk._best_opposite(lk.link_at(comp, x), v)
     return vbar is not None and s < PI + delta - comp.settings.strict_margin
 
 
@@ -251,32 +256,32 @@ def strainer_jacobian(comp: MetricComplex, F: StrainerMap,
     whose star is one cell or two cells glued along a codim-1 face."""
     if not euclidean_point(comp, x):
         raise StrainerError("point is not Euclidean: no linear differential")
-    cell = comp.cells[x.cid]
+    eng = geo.engine(comp)
     rows = []
     for p in F.points:
-        _, v = geo.log_map(comp, x, p)
-        if v is None:
+        _, path = eng.distance(x, p)
+        if not path.segs:
             raise StrainerError("strainer point coincides with x")
-        vec = _into_frame(comp, x, v)
-        rows.append(-vec)
+        rows.append(-_into_frame(comp, x, *path.heading(0)))
     return np.asarray(rows)
 
 
-def _into_frame(comp: MetricComplex, x: ComplexPoint, v: geo.Direction):
-    """Express a direction at x in the frame of x's canonical carrier cell,
-    developing across the shared codim-1 face when needed."""
-    if v.cid == x.cid:
-        return v.array()
+def _into_frame(comp: MetricComplex, x: ComplexPoint, cid: int, vec):
+    """Express the unit vector vec of cell cid at x in the frame of x's
+    canonical carrier cell, developing across the shared codim-1 face when
+    needed."""
+    if cid == x.cid:
+        return vec
     cell = comp.cells[x.cid]
     if len(x.carrier) != cell.nverts and len(x.carrier) == cell.dim:
         # x interior of a codim-1 face shared by both cells: the gate across
-        # it places v.cid in x.cid's plane
+        # it places cid in x.cid's plane
         gates = geo.engine(comp).gates
         drop = next(s for s in range(cell.nverts) if s not in x.carrier)
         lo, hi = gates.span[x.cid, drop]
         for g in range(lo, hi):
-            if gates.cid[g] == v.cid:
-                return gates.R[g] @ v.array()
+            if gates.cid[g] == cid:
+                return gates.R[g] @ vec
     raise StrainerError("direction not expressible in the carrier frame")
 
 

@@ -234,9 +234,6 @@ def ball_mass_2d(comp: MetricComplex, x: ComplexPoint, r: float,
             j = int(rng.choice(len(disks), p=probs))
             cid, center, _, poly = disks[j]
             q = _sample_disk_poly(center, r, poly, rng)
-            if q is None:
-                vals.append(0.0)
-                continue
             m = sum(1 for (c2, cen2, _, _) in disks
                     if c2 == cid and float((q - cen2) @ (q - cen2))
                     <= r * r + 1e-15)
@@ -253,14 +250,15 @@ def ball_mass_2d(comp: MetricComplex, x: ComplexPoint, r: float,
     return {"mass": mass, "se": A_tot * se, "n": n}
 
 
-def _sample_disk_poly(center, r, poly, rng, tries: int = 64):
-    for _ in range(tries):
+def _sample_disk_poly(center, r, poly, rng):
+    """A uniform point of the disk B_r(center) inside the triangle poly,
+    drawn from the disk until one falls inside (the pair has area > 0)."""
+    while True:
         ang = 2 * math.pi * float(rng.random())
         rad = r * math.sqrt(float(rng.random()))
         q = center + rad * np.array([math.cos(ang), math.sin(ang)])
         if _in_triangle(q, poly):
             return q
-    return None
 
 
 def _in_triangle(q, poly) -> bool:

@@ -1,13 +1,18 @@
 import heapq
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
 
-from gcba import complexes, corpus
+from gcba import complexes, corpus, links
 from gcba import geodesics as geo
 from gcba.config import DEFAULTS
 from gcba.corpus import square_point, theta_point, torus_point
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+from gridtorus import grid_point, grid_torus  # noqa: E402
 
 
 def torus_oracle(p, q):
@@ -159,18 +164,30 @@ def test_truncated_tree_raises():
     assert d == pytest.approx(torus_oracle(x, y), abs=1e-9)
 
 
-def test_candidate_cell_cache_is_bounded():
-    comp = corpus.flat_torus()
-    n = geo._CAND_CELLS_CACHE_SIZE + 10
-    x = torus_point(comp, 0.3, 0.4)
-    radii = [0.05 + 0.4 * i / n for i in range(n)]
-    first = geo.candidate_cells(comp, x, radii[0])
-    for r in radii[1:]:
-        geo.candidate_cells(comp, x, r)
-    recent = geo.candidate_cells(comp, x, radii[-1])
-    assert len(geo.engine(comp)._cand_cells) <= geo._CAND_CELLS_CACHE_SIZE
-    assert geo.candidate_cells(comp, x, radii[-1]) is recent
-    assert geo.candidate_cells(comp, x, radii[0]) is not first
+@pytest.mark.parametrize("name, x, r", [
+    ("torus", (0.3, 0.4), 0.15), ("torus", (0.0, 0.5), 0.3),
+    ("theta_s1", (0, 0.05, 0.3), 0.2), ("theta_s1", (1, 0.0, 0.7), 0.35),
+    ("grid", (0.3, 0.4), 0.15)])
+def test_candidate_cells_cover_the_ball(name, x, r, torus, theta_s1, rng):
+    # every sampled point within r of x lies in a cell candidate_cells keeps
+    if name == "grid":
+        comp = grid_torus(8)
+        x = grid_point(comp, 8, *x)
+    elif name == "torus":
+        comp, x = torus, torus_point(torus, *x)
+    else:
+        comp, x = theta_s1, square_point(theta_s1, *x)
+    kept = {c.cid for c in geo.candidate_cells(comp, x, r)}
+    if name == "grid":
+        assert len(kept) < sum(c.dim == 2 for c in comp.cells)
+    eng = geo.engine(comp)
+    inside = 0
+    for _ in range(300):
+        y = geo.uniform_point(comp, rng)
+        if eng.distance(x, y, need_path=False)[0] <= r:
+            inside += 1
+            assert {cid for cid, _ in y.representations(comp)} & kept
+    assert inside >= 10
 
 
 def test_symmetry_and_triangle_inequality(theta_s1, rng):
@@ -275,13 +292,18 @@ def test_log_map(torus, theta):
     y = torus_point(torus, 0.3, 0.2)
     t, v = geo.log_map(torus, x, y)
     assert t == pytest.approx(0.1)
-    assert np.allclose(np.abs(v.array()), [1.0, 0.0], atol=1e-9)
+    # v is a point of the link at x; its walker state holds the vector
+    state = links.link_at(torus, x).realize(v, x)
+    assert state[0] == "ray"
+    assert np.allclose(np.abs(state[3]), [1.0, 0.0], atol=1e-9)
     # theta: direction toward the nearest vertex on the minimizing route
     x = theta_point(theta, 0, 0.1)
     y = theta_point(theta, 1, 0.3)
     t, v = geo.log_map(theta, x, y)
     assert t == pytest.approx(0.4)
-    assert v.cid == 0 and v.vec[0] < 0  # toward vertex a (t decreasing)
+    state = links.link_at(theta, x).realize(v, x)
+    # toward vertex a (t decreasing)
+    assert state[0] == "edge" and state[1] == 0 and state[3] < 0
 
 
 def test_contraction(torus, rng):
@@ -315,7 +337,6 @@ def test_contraction_lipschitz(theta_s1, rng):
 
 
 def test_log_is_2_lipschitz(theta_s1, rng):
-    from gcba import links
     x = square_point(theta_s1, 0, 0.0, 0.5)   # spine point
     L = links.link_at(theta_s1, x)
     eng = geo.engine(theta_s1)
@@ -327,7 +348,7 @@ def test_log_is_2_lipschitz(theta_s1, rng):
             continue
         t1, v1 = geo.log_map(theta_s1, x, y1)
         t2, v2 = geo.log_map(theta_s1, x, y2)
-        a = L.dist(L.locate(v1), L.locate(v2))
+        a = L.dist(v1, v2)
         dcone = math.sqrt(max(0.0, t1 * t1 + t2 * t2
                               - 2 * t1 * t2 * math.cos(a)))
         dy, _ = eng.distance(y1, y2, need_path=False)

@@ -208,11 +208,8 @@ def test_locate_realize_roundtrip(theta_s1):
     p = ("arc", 1, 0.7)
     state = L.realize(p, sp)
     assert state[0] == "ray"
-    d = geo.Direction(base=sp, cid=state[1],
-                      vec=tuple(state[3]),
-                      anchor=tuple(geo.engine(theta_s1).bary_from_xy(
-                          state[1], state[2])))
-    assert L.dist(L.locate(d), p) < 1e-9
+    bary = geo.engine(theta_s1).bary_from_xy(state[1], state[2])
+    assert L.dist(L.locate(sp, state[1], bary, state[3]), p) < 1e-9
 
 
 def test_one_link_per_open_face():

@@ -1,4 +1,6 @@
 import math
+import os
+import sys
 
 import numpy as np
 import pytest
@@ -6,6 +8,9 @@ import pytest
 from gcba import convergence, corpus, strainers
 from gcba import geodesics as geo
 from gcba.corpus import square_point, theta_point, torus_point
+
+sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
+from workloads import StrainerAtlas  # noqa: E402
 
 PI = math.pi
 
@@ -44,6 +49,74 @@ def test_angle_matrix_orthogonal(torus, torus_strainer):
     assert M[0, 1] == pytest.approx(PI / 2, abs=1e-6)
     for i in range(k):
         assert M[i, k + i] == pytest.approx(PI, abs=1e-6)
+
+
+def test_is_strained_queries_only_the_reach(theta_s1, monkeypatch):
+    # the angle matrix is read from the link: the 2k reach-check queries
+    # are the only distance queries, and angle() is never called
+    real = geo.GeodesicEngine.distance
+    calls = []
+
+    def counted(self, x, y, need_path=True):
+        calls.append((x, y))
+        return real(self, x, y, need_path)
+
+    def no_angle(*args):
+        raise AssertionError("angle() called")
+
+    monkeypatch.setattr(geo.GeodesicEngine, "distance", counted)
+    monkeypatch.setattr(geo, "angle", no_angle)
+    x = square_point(theta_s1, 2, 0.6, 0.7)
+    for k in (2, 1):
+        calls.clear()
+        s = strainers.is_strained(theta_s1, x, k, 0.05, reach=0.15)
+        assert s is not None and s.k == k
+        assert len(calls) == 2 * k
+
+
+def _assert_matrix_is_angles(comp, s):
+    fresh = strainers._angle_matrix(comp, s.center, s.points, s.opposites)
+    assert s.angle_matrix.shape == (s.k, 2 * s.k)
+    assert np.max(np.abs(s.angle_matrix - fresh)) <= 1e-12
+
+
+def test_angle_matrix_equals_angles(torus, theta, theta_s1):
+    # the acceptance strainers of criteria 3 and 10
+    for comp, x, k, reach in (
+            (torus, torus_point(torus, 0.42, 0.3), 2, 0.2),
+            (theta, theta_point(theta, 0, 0.5), 1, 0.2),
+            (theta_s1, square_point(theta_s1, 0, 0.5, 0.25), 2, 0.15),
+            (theta_s1, square_point(theta_s1, 0, 0.5, 0.25), 1, 0.15)):
+        s = strainers.is_strained(comp, x, k, 0.04, reach=reach)
+        assert s is not None
+        _assert_matrix_is_angles(comp, s)
+
+
+def test_angle_matrix_equals_angles_on_atlas_inputs():
+    # 60 inputs of the strainer_atlas benchmark stream at seed 7
+    wl = StrainerAtlas()
+    ts = corpus.theta_times_circle()
+    stream = wl.inputs(ts, np.random.default_rng(7))
+    for _ in range(60):
+        inp = next(stream)
+        k, s = wl.op(ts, inp, None)
+        assert k == inp[1]
+        _assert_matrix_is_angles(ts, s)
+
+
+def test_uncertified_reach_raises(theta_s1, monkeypatch):
+    # a reach check that never passes: no silent uncertified strainer
+    real = geo.GeodesicEngine.distance
+
+    def off(self, x, y, need_path=True):
+        d, path = real(self, x, y, need_path)
+        return d + 1e-3, path
+
+    monkeypatch.setattr(geo.GeodesicEngine, "distance", off)
+    x = square_point(theta_s1, 0, 0.5, 0.25)
+    with pytest.raises(strainers.StrainerError,
+                       match=r"2-strainer at ComplexPoint.*0\.00625"):
+        strainers.is_strained(theta_s1, x, 2, 0.05, reach=0.2)
 
 
 def test_straining_radius_properties(torus, torus_strainer):

@@ -79,6 +79,21 @@ def test_ball_masses(theta, theta_s1, rng):
     assert m == pytest.approx(0.6, abs=1e-12)
 
 
+def test_ball_mass_across_the_spine(theta_s1):
+    # x at h = 0.05 from a spine circle, r = 0.4: the ball is the disk in
+    # x's page, less the cap beyond the spine, plus that cap in each of the
+    # two other pages
+    x = square_point(theta_s1, 0, 0.05, 0.3)
+    r, h = 0.4, 0.05
+    cap = r * r * math.acos(h / r) - h * math.sqrt(r * r - h * h)
+    exact = PI * r * r + cap
+    assert exact == pytest.approx(0.714087, abs=1e-6)
+    masses = [strata.ball_mass_2d(theta_s1, x, r,
+                                  rng=np.random.default_rng(seed))["mass"]
+              for seed in (1, 2, 3)]
+    assert np.mean(masses) == pytest.approx(exact, rel=3e-3)
+
+
 def test_canonical_measure_whole(theta_s1, theta):
     out = strata.canonical_measure(theta_s1)
     assert out["masses"] == {2: pytest.approx(3.0, abs=1e-12)}

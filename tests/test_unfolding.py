@@ -107,8 +107,8 @@ def test_grid_lattice_points_closed_form(n, i, j, k, m):
 
 def test_extend_through_the_flat_torus_vertex():
     # each tail runs straight through the torus's one vertex, (1, 1); the
-    # second along the diagonal edge into it.  The counts are those of the
-    # parent engine, which continued at the vertex in `shoot`.
+    # second along the diagonal edge into it.  The counts are those of a
+    # walk that continues at the vertex through its link.
     comp = corpus.flat_torus()
     eng = geo.engine(comp)
     for p, q, delta, counts in (((0.5, 0.6), (0.75, 0.8), 0.5, [1]),
