@@ -191,11 +191,14 @@ class GateTable(NamedTuple):
     R: np.ndarray        # (G, 2, 2) orthogonal
     s: np.ndarray        # (G, 2)
     coords: np.ndarray   # (cells, 3, 2) vertex coordinates of the 2-cells
+    inward: np.ndarray   # (cells, 3, 3) per edge (n, k): n @ x + k is the
+                         # signed distance of x from it, >= 0 on c's side
 
 
 def _gate_table(comp: MetricComplex) -> GateTable:
     span = np.zeros((len(comp.cells), 3, 2), dtype=np.intp)
     coords = np.zeros((len(comp.cells), 3, 2))
+    inward = np.zeros((len(comp.cells), 3, 3))
     slots, Rs, ss = [], [], []
     for cell in comp.cells:
         if cell.dim != 2:
@@ -205,6 +208,8 @@ def _gate_table(comp: MetricComplex) -> GateTable:
             tup = tuple(v for v in range(3) if v != drop)
             e0, e1 = cell.coords[tup[0]], cell.coords[tup[1]]
             side = _side(e0, e1, cell.coords[drop])
+            n = side * np.array([e0[1] - e1[1], e1[0] - e0[0]])
+            inward[cell.cid, drop] = np.append(n, -n @ e0) / np.linalg.norm(n)
             my_corr = comp.face_corr(cell.cid, tup)
             span[cell.cid, drop, 0] = len(slots)
             for (mcid, mtup) in sorted(comp.face_class_members(
@@ -223,7 +228,7 @@ def _gate_table(comp: MetricComplex) -> GateTable:
             span[cell.cid, drop, 1] = len(slots)
     return GateTable(span, np.array([m for m, _ in slots], dtype=np.intp),
                      slots, np.array(Rs).reshape(-1, 2, 2),
-                     np.array(ss).reshape(-1, 2), coords)
+                     np.array(ss).reshape(-1, 2), coords, inward)
 
 
 class _SourceTree:
@@ -262,11 +267,20 @@ class _SourceTree:
         cap = comp.settings.max_developments
         while len(level[0]):
             # one breadth-first level: every gate of a parent that comes
-            # within the radius places a child at (A @ R, A @ s + t)
+            # within the radius places a child at (A @ R, A @ s + t).  A
+            # straight segment meets a line at most once, so a ray from the
+            # source crosses a gate only from the source's side of its line:
+            # the gate must have the source on the side of the parent's third
+            # vertex, or on the line
             pc, pA, pt, pr = level
             corners = gates.coords[pc] @ pA.transpose(0, 2, 1) + pt[:, None]
-            near = _seg_dist_origin(corners[:, _EDGE[:, 0]],
-                                    corners[:, _EDGE[:, 1]]) <= self.radius
+            # the source in each parent's own coordinates
+            src = np.einsum("nji,nj->ni", pA, -pt)
+            w = gates.inward[pc]
+            near = ((_seg_dist_origin(corners[:, _EDGE[:, 0]],
+                                      corners[:, _EDGE[:, 1]]) <= self.radius)
+                    & (np.einsum("nkj,nj->nk", w[..., :2], src) + w[..., 2]
+                       >= -1e-12))
             par, drop = np.nonzero(near)
             if not len(par):
                 break
@@ -608,7 +622,9 @@ class GeodesicEngine:
                 L = float(comp.cells[rcid].lengths[rtup[0], rtup[1]])
                 w = {corr[pos]: float(bary[v]) for pos, v in enumerate(mtup)}
                 out.append((root, w.get(rtup[1], 0.0) * L, L))
-        uniq = sorted(set((r, round(px, 12), L) for r, px, L in out))
+        # 1-cells, keyed ("cell", cid), after the 1-face classes of 2-cells
+        uniq = sorted(set((r, round(px, 12), L) for r, px, L in out),
+                      key=lambda e: (e[0][0] == "cell", e))
         self._edge_pos_cache[key] = uniq
         return uniq
 
@@ -883,12 +899,11 @@ class GeodesicEngine:
         within the available trees."""
         d0, segs0 = self._direct(tx, x, y)
         verts = self.singular_points()
-        if tx.to_vertex is None:
-            tx.to_vertex = tuple(self._direct(tx, x, v)[0] for v in verts)
+        to_vertex = self._to_vertex(tx, x)
         # a path that bends does so at a singular vertex, so it is at least
         # as long as the closest one: a shorter validated direct segment is
         # already optimal
-        if d0 < math.inf and all(dv >= d0 - 1e-12 for dv in tx.to_vertex):
+        if d0 < math.inf and all(dv >= d0 - 1e-12 for dv in to_vertex):
             if not need_path:
                 return d0, None
             return d0, self._finalize_path(segs0, x)
@@ -898,7 +913,7 @@ class GeodesicEngine:
         adj: dict[int, list] = {i: [] for i in range(n + 2)}
         meta = {}
         for i, v in enumerate(verts):
-            d = tx.to_vertex[i]
+            d = to_vertex[i]
             if d < math.inf:
                 adj[SRC].append((i, d))
             tvi = self._cached_tree(v.key())
@@ -934,6 +949,25 @@ class GeodesicEngine:
             else:
                 segs.extend(meta[hop])
         return total, self._finalize_path(segs, x)
+
+    def _to_vertex(self, tx: _SourceTree, x: ComplexPoint) -> tuple:
+        if tx.to_vertex is None:
+            tx.to_vertex = tuple(self._direct(tx, x, v)[0]
+                                 for v in self.singular_points())
+        return tx.to_vertex
+
+    def singular_within(self, x: ComplexPoint, r: float) -> list:
+        """(v, d(x, v)) for the singular vertices v other than x within r
+        of x.  A shortest path to one reaches its first singular vertex
+        straight, so there is none unless a direct piece from x is at most
+        r long; `_assemble` threads the pieces after it."""
+        tx = self.tree(x, r * (1 + 1e-9) + 1e-12)
+        if min(self._to_vertex(tx, x), default=math.inf) > r:
+            return []
+        found = [(v, self._assemble(tx, x, v, need_path=False))
+                 for v in self.singular_points() if v != x]
+        return [(v, res[0]) for v, res in found
+                if res is not None and res[0] <= r]
 
     def _finalize_path(self, segs, x: ComplexPoint) -> GeodesicPath:
         comp = self.comp
@@ -1195,10 +1229,8 @@ def log_almost_isometry_check(comp: MetricComplex, x: ComplexPoint,
     best = 0.0
     for r in sorted(radii):
         pts = ball_samples(comp, x, r, 2 * n_pairs, rng)
-        ok = len(pts) >= 2
+        ok = True
         for _ in range(n_pairs):
-            if len(pts) < 2:
-                break
             i, j = rng.integers(0, len(pts), size=2)
             y1, y2 = pts[int(i)], pts[int(j)]
             if y1 == y2:
@@ -1220,79 +1252,39 @@ def log_almost_isometry_check(comp: MetricComplex, x: ComplexPoint,
     return best
 
 
-def candidate_cells(comp: MetricComplex, x: ComplexPoint, r: float):
-    """Top-dimensional cells that can meet B_r(x) (vertex-distance prune)."""
-    eng = engine(comp)
-    verts = eng.vertex_points()
-    vdist = [eng.distance(x, vp, need_path=False)[0] for vp in verts]
-    vids = eng.vid_map()
-    keep = []
-    for c in comp.cells:
-        if c.dim != comp.dim:
-            continue
-        diam = float(np.max(c.lengths))
-        dmin = min(vdist[vids[(c.cid, s)]] for s in range(c.nverts))
-        if dmin - diam <= r:
-            keep.append(c)
-    return keep
-
-
 def ball_samples(comp: MetricComplex, x: ComplexPoint, r: float, n: int,
                  rng: np.random.Generator) -> list[ComplexPoint]:
-    """n points sampled uniformly from B_r(x).
+    """n points drawn uniformly from the top-dimensional part of B_r(x),
+    each within r of x, from the pieces `strata` sums its mass over.
 
-    Small radii (below a tenth of the shortest edge, where the exponential
-    map is injective on nonpositively curved complexes) sample in exponential
-    coordinates: a link direction weighted by arc length and a sqrt-uniform
-    radius, realized by shooting.  Larger radii fall back to rejection over
-    the cells that can meet the ball."""
-    if comp.dim == 2 and r <= 0.1 * _min_edge(comp):
-        pts = _exp_ball_samples(comp, x, r, n, rng)
-        if pts is not None:
-            return pts
+    On a graph a point is drawn uniformly from the exact intervals of the
+    ball on the edges.  On a 2-complex a draw from the disk cover of the
+    ball, held by m of its disks, is kept with probability 1/m when it lies
+    within r of x.  Raises GeodesicError when the ball has no
+    top-dimensional mass."""
+    from . import strata
+    if comp.dim == 1:
+        pieces = strata.ball_intervals_1d(comp, x, r)
+        lens = np.array([b - a for _, a, b in pieces])
+        if not lens.sum() > 0:
+            raise GeodesicError(f"B_{r:g}({x!r}) has no 1-dimensional mass")
+        out = []
+        for k, f in zip(rng.choice(len(pieces), size=n, p=lens / lens.sum()),
+                        rng.random(n)):
+            cid, a, b = pieces[int(k)]
+            t = (a + f * (b - a)) / float(comp.cells[cid].lengths[0, 1])
+            out.append(ComplexPoint(comp, cid, np.array([1.0 - t, t])))
+        return out
+    cover = strata.BallCover(comp, x, r)
+    if not cover.disks:
+        raise GeodesicError(f"B_{r:g}({x!r}) has no 2-dimensional mass")
     eng = engine(comp)
-    cells = candidate_cells(comp, x, r) or \
-        [c for c in comp.cells if c.dim == comp.dim]
-    vols = np.array([max(c.volume, 1e-300) for c in cells])
-    probs = vols / vols.sum()
     out = []
-    trials = 0
-    while len(out) < n and trials < 400 * n:
-        trials += 1
-        cell = cells[int(rng.choice(len(cells), p=probs))]
-        y = ComplexPoint(comp, cell.cid, rng.dirichlet(np.ones(cell.nverts)))
-        d, _ = eng.distance(x, y, need_path=False)
-        if d <= r:
+    while len(out) < n:
+        cid, q, m = cover.draw(rng)
+        if m > 1 and rng.random() * m >= 1.0:
+            continue
+        y = ComplexPoint(comp, cid, eng.bary_from_xy(cid, q))
+        if eng.distance(x, y, need_path=False)[0] <= r:
             out.append(y)
-    return out
-
-
-def _min_edge(comp: MetricComplex) -> float:
-    best = math.inf
-    for c in comp.cells:
-        if c.dim == 0:
-            continue
-        L = c.lengths + np.eye(c.nverts) * 1e18
-        best = min(best, float(np.min(L)))
-    return best
-
-
-def _exp_ball_samples(comp, x, r, n, rng):
-    from . import links as lk
-    L = lk.link_at(comp, x)
-    if not L.arcs:
-        return None
-    lens = np.array([a.length for a in L.arcs])
-    probs = lens / lens.sum()
-    out = []
-    for _ in range(n):
-        ai = int(rng.choice(len(L.arcs), p=probs))
-        theta = float(rng.random()) * L.arcs[ai].length
-        t = r * math.sqrt(float(rng.random()))
-        state = L.realize(("arc", ai, theta), x)
-        try:
-            path, _ = shoot_from_state(comp, x, state, t)
-        except (GeodesicError, lk.LinkError):
-            continue
-        out.append(path.end)
     return out

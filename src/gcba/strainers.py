@@ -211,7 +211,7 @@ def natural_strainer_radius(comp: MetricComplex, p: ComplexPoint,
             if not is_one_strainer_at(comp, p, x, delta):
                 ok = False
                 break
-        if ok and pts:
+        if ok:
             best = rho
     return best
 

@@ -3,9 +3,16 @@
 On complexes the k-dimensional part is combinatorial ground truth: a point
 belongs to X^k when the top dimension of its star is k, so X^k is a union
 of open faces and the canonical measure restricted to it is the total
-k-volume of the maximal k-cells.  Ball-restricted masses run Monte Carlo
-with proposals drawn from the exact unfolded-disk picture, so the sampler
-concentrates on the ball and the reported standard error is honest.
+k-volume of the maximal k-cells.
+
+A ball B_r(x) is measured over pieces that hold it, and
+`geodesics.ball_samples` draws from the same pieces.  On the 1-cells they
+are the exact intervals of `ball_intervals_1d`, whose summed length is the
+1-mass.  On the 2-cells they are the disks of `BallCover`: the unfolded
+disks of radius r about x, and those of radius r - d(x, v) about each
+singular vertex v within r, where shortest paths bend.  The 2-mass is Monte
+Carlo over that cover, with each draw weighted by one over the number of
+disks that hold it, so the reported standard error is honest.
 """
 
 from __future__ import annotations
@@ -142,101 +149,118 @@ def regular_set(comp: MetricComplex, k: int, delta: float,
 
 
 # ---------------------------------------------------------------------------
-# ball masses (Monte Carlo over unfolded disks)
+# balls: measured and sampled over the same pieces
 
 
 def _disk_poly_area(center: np.ndarray, r: float, poly: np.ndarray) -> float:
-    """Area of the intersection of a disk with a convex polygon (ccw)."""
-    # Green's theorem over the clipped boundary: sum of straight and
-    # circular-arc contributions
-    c = np.asarray(center, float)
-    pts = np.asarray(poly, float) - c
-    n = len(pts)
+    """Area of the intersection of a disk with a convex polygon.  By Green's
+    theorem it is the signed area swept from the center along the clipped
+    boundary: along each part of an edge inside the disk, the triangle it
+    makes with the center, and outside the disk, the sector.  An edge whose
+    line does not cross the circle is outside, even where it touches it."""
+    pts = np.asarray(poly, float) - np.asarray(center, float)
     area = 0.0
-    for i in range(n):
-        p1 = pts[i]
-        p2 = pts[(i + 1) % n]
-        area += _edge_contrib(p1, p2, r)
+    for p1, p2 in zip(pts, np.roll(pts, -1, axis=0)):
+        d = p2 - p1
+        a, b, c = float(d @ d), float(p1 @ d), float(p1 @ p1) - r * r
+        crosses = b * b - a * c > 0
+        ts = [0.0, 1.0]
+        if crosses:
+            sq = math.sqrt(b * b - a * c)
+            ts += [t for t in ((-b - sq) / a, (-b + sq) / a) if 0 < t < 1]
+        ts.sort()
+        for t0, t1 in zip(ts, ts[1:]):
+            q1, q2 = p1 + t0 * d, p1 + t1 * d
+            cross = float(q1[0] * q2[1] - q1[1] * q2[0])
+            mid = q1 + q2
+            inside = crosses and float(mid @ mid) <= 4 * r * r
+            area += 0.5 * (cross if inside
+                           else r * r * math.atan2(cross, float(q1 @ q2)))
     return abs(area)
 
 
-def _edge_contrib(p1, p2, r):
-    # contribution of one directed edge to the disk-polygon area integral
-    d = p2 - p1
-    a = float(d @ d)
-    if a < 1e-30:
-        return 0.0
-    b = 2.0 * float(p1 @ d)
-    cc = float(p1 @ p1) - r * r
-    disc = b * b - 4 * a * cc
-    inside1 = float(p1 @ p1) <= r * r + 1e-15
-    inside2 = float(p2 @ p2) <= r * r + 1e-15
+class BallCover:
+    """Disks in the 2-cells, in cell coordinates, whose union holds the
+    2-dimensional part of B_r(x).
 
-    def tri(q1, q2):
-        return 0.5 * (q1[0] * q2[1] - q2[0] * q1[1])
+    A shortest path from x is straight after its last singular vertex (BH
+    I.5 and II.1.4).  So a point of the ball lies in the disk of radius r
+    about the source in a development of x's tree, when its path does not
+    bend, or in the disk of radius r - d(x, v) about v in a development of
+    the tree of the path's last singular vertex v.  `disks` holds (cid,
+    center, radius, area of the disk inside the cell) for every development
+    whose disk meets its cell, x's first."""
 
-    def sector(q1, q2):
-        a1 = math.atan2(q1[1], q1[0])
-        a2 = math.atan2(q2[1], q2[0])
-        da = a2 - a1
-        while da <= -math.pi:
-            da += 2 * math.pi
-        while da > math.pi:
-            da -= 2 * math.pi
-        return 0.5 * r * r * da
+    def __init__(self, comp: MetricComplex, x: ComplexPoint, r: float):
+        self.comp = comp
+        self.eng = eng = geo.engine(comp)
+        self.disks = []
+        for v, rho in [(x, r)] + [(v, r - dv) for v, dv
+                                  in eng.singular_within(x, r) if dv < r]:
+            tree = eng.tree(v, rho * (1 + 1e-9) + 1e-12)
+            self.disks += _tree_disks(comp, tree, rho)
+        areas = np.array([d[3] for d in self.disks])
+        self.area = float(areas.sum())
+        self.probs = areas / self.area
 
-    if disc <= 0:
-        # no chord: edge entirely inside (impossible here unless endpoints
-        # inside) or entirely outside the disk
-        return tri(p1, p2) if (inside1 and inside2) else sector(p1, p2)
-    sq = math.sqrt(disc)
-    t1 = (-b - sq) / (2 * a)
-    t2 = (-b + sq) / (2 * a)
-    ts = [t for t in (t1, t2) if 0.0 < t < 1.0]
-    points = [p1] + [p1 + t * d for t in sorted(ts)] + [p2]
-    total = 0.0
-    for j in range(len(points) - 1):
-        q1, q2 = points[j], points[j + 1]
-        mid = 0.5 * (q1 + q2)
-        if float(mid @ mid) <= r * r:
-            total += tri(q1, q2)
-        else:
-            total += sector(q1, q2)
-    return total
+    def draw(self, rng: np.random.Generator):
+        """(cid, q, m): a disk chosen by area, a uniform point q of it inside
+        its cell, and the number m of the cell's disks that hold q.  Points
+        come with density m / area, so weight 1/m makes them uniform."""
+        j = int(rng.choice(len(self.disks), p=self.probs))
+        cid, center, rho, _ = self.disks[j]
+        poly = self.comp.cells[cid].coords
+        while True:
+            ang = 2 * math.pi * float(rng.random())
+            rad = rho * math.sqrt(float(rng.random()))
+            q = center + rad * np.array([math.cos(ang), math.sin(ang)])
+            lam = self.eng._solver(cid) @ (q - poly[0])
+            if min(lam.min(), 1.0 - lam.sum()) >= -1e-12:
+                break
+        m = sum(1 for (c2, cen2, rho2, _) in self.disks
+                if c2 == cid and float((q - cen2) @ (q - cen2))
+                <= rho2 * rho2 + 1e-15)
+        return cid, q, m
+
+
+def _tree_disks(comp: MetricComplex, tree, rho: float) -> list:
+    """(cid, center, rho, area) of the developments of a source tree whose
+    disk of radius rho about the source meets their cell."""
+    disks = []
+    for cid, sl in tree.cells.items():
+        poly = comp.cells[cid].coords
+        # the cell lies within `reach` of its centroid g, so a disk whose
+        # center is farther than rho + reach from g misses it; a cached tree
+        # can reach far past rho
+        g = poly.mean(axis=0)
+        reach = float(np.max(np.hypot(*(poly - g).T)))
+        gd = tree.A[sl] @ g + tree.t[sl]
+        near = np.nonzero(np.hypot(gd[:, 0], gd[:, 1]) <= rho + reach)[0]
+        for A, t in zip(tree.A[sl][near], tree.t[sl][near]):
+            center = A.T @ (-t)
+            area = _disk_poly_area(center, rho, poly)
+            if area > 1e-18:
+                disks.append((cid, center, rho, area))
+    return disks
 
 
 def ball_mass_2d(comp: MetricComplex, x: ComplexPoint, r: float,
                  target_rel_se: float = 0.005, max_samples: int = 40000,
                  rng: np.random.Generator | None = None) -> dict:
-    """H^2 of B_r(x): Monte Carlo with proposals from the unfolded-disk
-    cover of the ball.  Returns mass, standard error and sample count."""
+    """H^2 of B_r(x): Monte Carlo over the disks of `BallCover`, summing
+    1/m for each draw within r of x.  Returns mass, standard error and
+    sample count."""
     rng = rng or np.random.default_rng(comp.settings.seed)
     eng = geo.engine(comp)
-    tree = eng.tree(x, r * (1 + 1e-9) + 1e-12)
-    disks = []   # (cid, center_local, area, poly)
-    for cid, sl in tree.cells.items():
-        poly = comp.cells[cid].coords
-        for A, t in zip(tree.A[sl], tree.t[sl]):
-            center = A.T @ (-t)
-            area = _disk_poly_area(center, r, poly)
-            if area > 1e-18:
-                disks.append((cid, center, area, poly))
-    if not disks:
+    cover = BallCover(comp, x, r)
+    if not cover.disks:
         return {"mass": 0.0, "se": 0.0, "n": 0}
-    areas = np.array([d[2] for d in disks])
-    A_tot = float(areas.sum())
-    probs = areas / A_tot
     vals = []
     n = 0
     batch = 1500
     while n < max_samples:
         for _ in range(batch):
-            j = int(rng.choice(len(disks), p=probs))
-            cid, center, _, poly = disks[j]
-            q = _sample_disk_poly(center, r, poly, rng)
-            m = sum(1 for (c2, cen2, _, _) in disks
-                    if c2 == cid and float((q - cen2) @ (q - cen2))
-                    <= r * r + 1e-15)
+            cid, q, m = cover.draw(rng)
             y = ComplexPoint(comp, cid, eng.bary_from_xy(cid, q))
             d, _ = eng.distance(x, y, need_path=False)
             vals.append((1.0 / m) if d <= r + 1e-12 else 0.0)
@@ -246,39 +270,17 @@ def ball_mass_2d(comp: MetricComplex, x: ComplexPoint, r: float,
         se = float(arr.std(ddof=1) / math.sqrt(n)) if n > 1 else math.inf
         if mean > 0 and se <= target_rel_se * mean:
             break
-    mass = A_tot * mean
-    return {"mass": mass, "se": A_tot * se, "n": n}
+    return {"mass": cover.area * mean, "se": cover.area * se, "n": n}
 
 
-def _sample_disk_poly(center, r, poly, rng):
-    """A uniform point of the disk B_r(center) inside the triangle poly,
-    drawn from the disk until one falls inside (the pair has area > 0)."""
-    while True:
-        ang = 2 * math.pi * float(rng.random())
-        rad = r * math.sqrt(float(rng.random()))
-        q = center + rad * np.array([math.cos(ang), math.sin(ang)])
-        if _in_triangle(q, poly):
-            return q
-
-
-def _in_triangle(q, poly) -> bool:
-    a, b, c = poly[0], poly[1], poly[2]
-    v0, v1, v2 = c - a, b - a, q - a
-    den = (v0[0] * v1[1] - v1[0] * v0[1])
-    if abs(den) < 1e-30:
-        return False
-    u = (v2[0] * v1[1] - v1[0] * v2[1]) / den
-    v = (v0[0] * v2[1] - v2[0] * v0[1]) / den
-    return u >= -1e-12 and v >= -1e-12 and u + v <= 1 + 1e-12
-
-
-def ball_mass_1d(comp: MetricComplex, x: ComplexPoint, r: float) -> float:
-    """Exact H^1 of B_r(x) restricted to the 1-dimensional part X^1.
+def ball_intervals_1d(comp: MetricComplex, x: ComplexPoint, r: float):
+    """B_r(x) on the 1-cells, exactly: disjoint (cid, a, b), the points at
+    positions a to b along 1-cell cid from its slot 0, in cell order.
 
     Along an edge, d(x, .) = min(da + t, db + L - t, |t - own|); the
     sublevel set is a union of intervals with closed-form endpoints."""
     eng = geo.engine(comp)
-    total = 0.0
+    pieces = []
     for cell in comp.cells:
         if cell.dim != 1:
             continue
@@ -297,10 +299,15 @@ def ball_mass_1d(comp: MetricComplex, x: ComplexPoint, r: float) -> float:
         for a, b in clipped:
             lo = max(a, cur)
             if b > lo:
-                total += b - lo
-                cur = b
+                pieces.append((cell.cid, lo, b))
             cur = max(cur, b)
-    return total
+    return pieces
+
+
+def ball_mass_1d(comp: MetricComplex, x: ComplexPoint, r: float) -> float:
+    """Exact H^1 of B_r(x) restricted to the 1-dimensional part X^1: the
+    summed length of `ball_intervals_1d`."""
+    return sum(b - a for _, a, b in ball_intervals_1d(comp, x, r))
 
 
 def canonical_measure(comp: MetricComplex, region=None,

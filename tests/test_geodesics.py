@@ -6,13 +6,15 @@ import sys
 import numpy as np
 import pytest
 
-from gcba import complexes, corpus, links
+from gcba import complexes, corpus, links, strata
 from gcba import geodesics as geo
 from gcba.config import DEFAULTS
 from gcba.corpus import square_point, theta_point, torus_point
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "bench"))
 from gridtorus import grid_point, grid_torus  # noqa: E402
+
+from generated import fan  # noqa: E402
 
 
 def torus_oracle(p, q):
@@ -167,27 +169,58 @@ def test_truncated_tree_raises():
 @pytest.mark.parametrize("name, x, r", [
     ("torus", (0.3, 0.4), 0.15), ("torus", (0.0, 0.5), 0.3),
     ("theta_s1", (0, 0.05, 0.3), 0.2), ("theta_s1", (1, 0.0, 0.7), 0.35),
-    ("grid", (0.3, 0.4), 0.15)])
-def test_candidate_cells_cover_the_ball(name, x, r, torus, theta_s1, rng):
-    # every sampled point within r of x lies in a cell candidate_cells keeps
+    ("grid", (0.3, 0.4), 0.15), ("cone", None, 0.3)])
+def test_ball_cover_holds_the_ball(name, x, r, torus, theta_s1, rng):
+    # every uniform point within r of x lies in a disk of the cover in its
+    # own cell; on the 4 pi cone, x at 0.1 from the apex, the points whose
+    # shortest path bends at the apex lie only in the apex's disks
     if name == "grid":
         comp = grid_torus(8)
         x = grid_point(comp, 8, *x)
     elif name == "torus":
         comp, x = torus, torus_point(torus, *x)
+    elif name == "cone":
+        comp, h = fan([math.pi / 2] * 8), 0.1 / math.sqrt(2)
+        x = complexes.point(comp, 0, [1 - 2 * h, h, h])
     else:
         comp, x = theta_s1, square_point(theta_s1, *x)
-    kept = {c.cid for c in geo.candidate_cells(comp, x, r)}
-    if name == "grid":
-        assert len(kept) < sum(c.dim == 2 for c in comp.cells)
+    disks = strata.BallCover(comp, x, r).disks
     eng = geo.engine(comp)
     inside = 0
     for _ in range(300):
         y = geo.uniform_point(comp, rng)
         if eng.distance(x, y, need_path=False)[0] <= r:
             inside += 1
-            assert {cid for cid, _ in y.representations(comp)} & kept
+            q = y.bary @ comp.cells[y.cid].coords
+            assert any(cid == y.cid and np.linalg.norm(q - c) <= rho + 1e-12
+                       for cid, c, rho, _ in disks), y
     assert inside >= 10
+
+
+def test_ball_samples_are_never_short(theta, rng):
+    # ball_samples draws from the exact intervals of the ball, so a ball of
+    # length 0.001 in a graph of length 3 gets its points all the same
+    x = theta_point(theta, 0, 0.5)
+    eng = geo.engine(theta)
+    for r in (0.0005, 0.001, 0.002, 0.004):
+        pts = geo.ball_samples(theta, x, r, 4, rng)
+        assert len(pts) == 4
+        assert all(eng.distance(x, y, need_path=False)[0] <= r + 1e-12
+                   for y in pts)
+
+
+def test_ball_samples_reach_the_square_through_its_corner(rng):
+    # x on the segment of the segment-wedge-square, 0.1 from the square:
+    # the 2-dimensional part of B_0.3(x) is the quarter disk of radius 0.2
+    # about the corner, a singular vertex; B_0.05(x) has none
+    comp = corpus.segment_wedge_square()
+    eng = geo.engine(comp)
+    x = complexes.point(comp, 2, [0.9, 0.1])
+    for y in geo.ball_samples(comp, x, 0.3, 20, rng):
+        assert comp.cells[y.cid].dim == 2
+        assert eng.distance(x, y, need_path=False)[0] <= 0.3
+    with pytest.raises(geo.GeodesicError, match="no 2-dimensional mass"):
+        geo.ball_samples(comp, x, 0.05, 4, rng)
 
 
 def test_symmetry_and_triangle_inequality(theta_s1, rng):

@@ -3,8 +3,11 @@ import math
 import numpy as np
 import pytest
 
-from gcba import corpus, strata
+from gcba import complexes, corpus, strata
+from gcba import geodesics as geo
 from gcba.corpus import square_point, theta_point, torus_point
+
+from generated import fan
 
 PI = math.pi
 
@@ -65,6 +68,12 @@ def test_disk_polygon_area_oracle(rng):
         inside = np.linalg.norm(pts - center, axis=1) <= r
         mc = 0.5 * inside.mean()
         assert exact == pytest.approx(mc, abs=0.012)
+    # a disk touching an edge from outside, as a source tree of theta x S^1
+    # places one: the edge's midpoint lies on the circle up to rounding
+    tri = np.array([[0.0, 0.0], [1.4142135623730951, 0.0],
+                    [0.7071067811865476, 0.7071067811865475]])
+    center = np.array([0.21213203435596434, 0.4949747468305833])
+    assert strata._disk_poly_area(center, 0.2, tri) == 0.0
 
 
 def test_ball_masses(theta, theta_s1, rng):
@@ -92,6 +101,31 @@ def test_ball_mass_across_the_spine(theta_s1):
                                   rng=np.random.default_rng(seed))["mass"]
               for seed in (1, 2, 3)]
     assert np.mean(masses) == pytest.approx(exact, rel=3e-3)
+
+
+def test_ball_on_the_4pi_cone():
+    # x at s = 0.1 from the apex of the cone of angle 4 pi, on cell 0's
+    # bisector: B_rho(x) has area pi rho^2 + (4 pi - 2 pi)(rho - s)_+^2 / 2,
+    # the second term past the apex, where shortest paths bend
+    cone = fan([PI / 2] * 8)
+    h = 0.1 / math.sqrt(2)
+    x = complexes.point(cone, 0, [1 - 2 * h, h, h])
+
+    def area(rho):
+        return PI * rho * rho + PI * max(rho - 0.1, 0.0) ** 2
+
+    r = 0.3
+    assert area(r) == pytest.approx(0.40841, abs=1e-5)
+    eng = geo.engine(cone)
+    pts = geo.ball_samples(cone, x, r, 3000, np.random.default_rng(7))
+    d = np.array([eng.distance(x, y, need_path=False)[0] for y in pts])
+    assert len(d) == 3000 and d.max() <= r
+    for rho in (0.1, 0.2, 0.25):
+        p = area(rho) / area(r)
+        assert abs(np.mean(d <= rho) - p) <= 4 * math.sqrt(p * (1 - p) / 3000)
+    out = strata.ball_mass_2d(cone, x, r, target_rel_se=0.02,
+                              rng=np.random.default_rng(7))
+    assert abs(out["mass"] - area(r)) <= 3 * out["se"]
 
 
 def test_canonical_measure_whole(theta_s1, theta):

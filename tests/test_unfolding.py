@@ -25,6 +25,9 @@ ROOT = os.path.join(os.path.dirname(__file__), "..")
 sys.path.insert(0, os.path.join(ROOT, "bench"))
 from gridtorus import grid_point, grid_torus, torus_distance  # noqa: E402
 
+from generated import (fan, graph_product, product_distance,  # noqa: E402
+                       product_point, random_product_coords)
+
 
 def _corpus_complexes():
     out = []
@@ -124,24 +127,6 @@ def test_extend_through_the_flat_torus_vertex():
         assert eng.distance(ext.end, end, need_path=False)[0] <= 1e-12
 
 
-def _fan(angles, pinch: bool = False):
-    """Triangles with unit sides around apex slot 0 and the given apex
-    angles, consecutive outer sides glued into a closed cone; with `pinch`,
-    two such cones with their apexes glued."""
-    specs, gluings = [], []
-    for copy in range(2 if pinch else 1):
-        base = copy * len(angles)
-        for i, ang in enumerate(angles):
-            far = math.sqrt(2 - 2 * math.cos(ang))
-            specs.append((2, np.array([[0.0, 1.0, 1.0], [1.0, 0.0, far],
-                                       [1.0, far, 0.0]])))
-            j = (i + 1) % len(angles)
-            gluings.append(((base + i, (0, 2)), (base + j, (0, 1)), (0, 1)))
-    if pinch:
-        gluings.append(((0, (0,)), (len(angles), (0,)), (0,)))
-    return build_complex(specs, gluings)
-
-
 def _apex_is_singular(comp) -> bool:
     apex = complexes.point(comp, 0, [1.0, 0.0, 0.0])
     return apex.key() in {v.key() for v in geo.engine(comp).singular_points()}
@@ -157,13 +142,13 @@ def test_singular_vertex_classification():
     assert geo.engine(_grid(4)).singular_points() == []
     # a closed fan of four right corners is a flat disc: its apex is flat,
     # its rim vertices lie on the boundary
-    disc = _fan([math.pi / 2] * 4)
+    disc = fan([math.pi / 2] * 4)
     assert not _apex_is_singular(disc)
     assert len(geo.engine(disc).singular_points()) == \
         len(geo.engine(disc).vertex_points()) - 1
     # cone angle 4 pi, and a pinch whose link is two circles of 2 pi
-    assert _apex_is_singular(_fan([math.pi / 2] * 8))
-    assert _apex_is_singular(_fan([math.pi / 2] * 4, pinch=True))
+    assert _apex_is_singular(fan([math.pi / 2] * 8))
+    assert _apex_is_singular(fan([math.pi / 2] * 4, pinch=True))
 
 
 def _record_trees(monkeypatch):
@@ -283,7 +268,9 @@ def test_gate_table_refuses_a_misfit_gluing():
 def _loop_tree(comp, x, radius):
     """(cid, A, t) of every development, one at a time: the reference for
     the level-by-level array build.  Each neighbour is placed with
-    `_place_cell` from its parent's corners in the development plane."""
+    `_place_cell` from its parent's corners in the development plane, across
+    the gates that come within the radius and have the source on the
+    parent's side."""
     devs, seen = [], set()
 
     def push(cid, A, t):
@@ -305,6 +292,10 @@ def _loop_tree(comp, x, radius):
             e0, e1 = corners[tup[0]], corners[tup[1]]
             near = geo._seg_dist_origin(e0[None], e1[None])[0]
             if near > radius:
+                continue
+            # a ray from the source crosses the gate from the source's side
+            source_side = _cross(e0, e1, (0.0, 0.0)) / np.linalg.norm(e1 - e0)
+            if source_side * np.sign(_cross(e0, e1, corners[drop])) < -1e-12:
                 continue
             my_corr = comp.face_corr(cid, tup)
             for mcid, mtup in comp.face_class_members(
@@ -330,6 +321,42 @@ def test_array_tree_matches_one_at_a_time_placement():
             err = (np.abs(tree.A[sl] - A).max(axis=(1, 2))
                    + np.abs(tree.t[sl] - t).max(axis=1))
             assert err.min() <= 1e-12
+
+
+def test_tree_crosses_gates_from_the_source_side():
+    # at a branching edge the other pages lie on the parent's side of the
+    # entry gate, where no straight ray from the source goes: crossing back
+    # would hold 9, 21, 48 and 72 developments at these radii
+    ts = corpus.theta_times_circle()
+    x = corpus.square_point(ts, 0, 0.3, 0.4)
+    sizes = [len(geo._SourceTree(geo.engine(ts), x, R).cid)
+             for R in (0.3, 0.6, 1.0, 1.5)]
+    assert sizes == [4, 10, 26, 46]
+
+
+THETA = [(0, 1, 1.0)] * 3
+# 4 vertices, 5 edges: a 4-cycle with one chord
+G45 = [(0, 1, 0.55), (1, 2, 0.8), (2, 3, 0.35), (3, 0, 0.95), (0, 2, 0.6)]
+
+
+@pytest.mark.parametrize("graph, cycle", [(THETA, [0.3, 0.45, 0.25]),
+                                          (G45, [0.45, 0.7, 0.3, 0.9])],
+                         ids=["theta_x_C3", "G45_x_C4"])
+def test_graph_product_closed_form(graph, cycle):
+    # d^2 = d_G^2 + d_C^2; a tree that crossed gates back into the other
+    # pages at each branching edge would pass the development cap on G45 x C4
+    comp = graph_product(graph, cycle)
+    assert comp.check_curvature_bound()["pass"]
+    eng = geo.engine(comp)
+    rng = np.random.default_rng(3)
+    for _ in range(40):
+        p = random_product_coords(graph, cycle, rng)
+        q = random_product_coords(graph, cycle, rng)
+        d, path = eng.distance(product_point(comp, graph, cycle, *p),
+                               product_point(comp, graph, cycle, *q))
+        assert d == pytest.approx(product_distance(graph, cycle, p, q),
+                                  abs=1e-9), (p, q)
+        assert path.length == pytest.approx(d, abs=1e-9), (p, q)
 
 
 def test_cached_tree_memory_is_small():
