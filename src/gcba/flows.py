@@ -14,11 +14,17 @@ import numpy as np
 from . import geodesics as geo
 from . import links as lk
 from .complexes import ComplexPoint, MetricComplex
-from .strainers import Strainer, StrainerMap
+from .strainers import Strainer
 
 
 class FlowError(Exception):
-    pass
+    """A flow that cannot go on.  A coordinate flow's error carries i, steps,
+    stalls, path_queries and gap (the last |f_i - a_i|) as attributes."""
+
+    def __init__(self, msg: str, **counts):
+        super().__init__(msg + "".join(f", {k} {v:.4g}"
+                                       for k, v in counts.items()))
+        self.__dict__.update(counts)
 
 
 @dataclass
@@ -55,11 +61,14 @@ class FlowTrack:
 
 def flow_phi_i(comp: MetricComplex, s: Strainer, i: int, y: ComplexPoint,
                target_ai: float, tol: float = 1e-9, step_cap: float = None):
-    """Move y along re-aimed geodesics toward p_i (or the opposite q_i)
-    until |d(p_i, y) - target_ai| <= tol.  Returns (endpoint, trace, moved).
+    """Move y along the geodesic toward p_i (or the opposite q_i) until
+    |d(p_i, y) - target_ai| <= tol.  Returns (endpoint, trace, moved).
 
-    The first-variation rate check (1 - 2*delta per unit length) guards each
-    step; a non-monotone step aborts the run."""
+    The path is queried once per goal and walked by arclength: a subsegment
+    of a shortest path is one, on a CAT(0) complex the only one (BH II.1.4).
+    The goal flips only by rounding (a step is at most |gap|/10 and f_i is
+    1-Lipschitz).  A first-variation rate check (1 - 2*delta per unit
+    length) guards each step; a non-monotone step aborts the run."""
     eng = geo.engine(comp)
     if step_cap is None:
         step_cap = max(s.radius_estimate / 100.0, 1e-4)
@@ -72,32 +81,41 @@ def flow_phi_i(comp: MetricComplex, s: Strainer, i: int, y: ComplexPoint,
     fi, _ = eng.distance(s.points[i], cur, need_path=False)
     gap = fi - target_ai
     moved = 0.0
-    guard = 0
-    stall = 0
+    guard = stall = stalls = queries = 0
+    held = None             # the goal of the path in hand
+
+    def fail(msg, g):
+        return FlowError(msg, i=i, steps=len(trace) - 1, stalls=stalls,
+                         path_queries=queries, gap=g)
+
     while abs(gap) > tol:
         guard += 1
         if guard > 5000:
-            raise FlowError("flow failed to converge (step budget)")
+            raise fail("flow failed to converge (step budget)", abs(gap))
         goal = s.points[i] if gap > 0 else s.opposites[i]
         step = min(0.1 * abs(gap), step_cap)
-        d, path = eng.distance(cur, goal)
+        if goal is not held:
+            _, path = eng.distance(cur, goal)
+            held, base = goal, moved   # moved - base is walked along path
+            queries += 1
+        d = path.length - (moved - base)
         if d <= step:
             step = min(step, d / 2.0) or d / 2.0
-        nxt = path.point_at(step)
+        nxt = path.point_at(moved - base + step)
         fi2, _ = eng.distance(s.points[i], nxt, need_path=False)
         gap2 = fi2 - target_ai
         if abs(gap2) >= abs(gap) - 1e-11:
             stall += 1
+            stalls += 1
             if stall > 3:
                 if abs(gap2) <= 10 * tol:
                     cur = nxt
                     break
-                raise FlowError(
-                    f"flow stagnation at |gap| {abs(gap2):.3e}")
+                raise fail("flow stagnation", abs(gap2))
         elif abs(gap2) > abs(gap) - rate * step + 1e-9 + 0.02 * step:
-            raise FlowError(
-                f"non-monotone flow step (strainer quality): "
-                f"|gap| {abs(gap):.3e} -> {abs(gap2):.3e} with step {step:.3e}")
+            raise fail(f"non-monotone flow step (strainer quality): |gap| "
+                       f"{abs(gap):.3e} -> {abs(gap2):.3e} with step "
+                       f"{step:.3e}", abs(gap2))
         else:
             stall = 0
         moved += step
@@ -181,7 +199,6 @@ def fiber_dichotomy(comp: MetricComplex, s: Strainer, region, samples: int = 24,
     center, radius = region
     eng = geo.engine(comp)
     pts = geo.ball_samples(comp, center, radius, samples, rng)
-    F = StrainerMap(comp=comp, points=s.points, opposites=s.opposites)
     anchors = pts[:4]
     spreads = []
     for a in anchors:
@@ -266,7 +283,6 @@ def _gf2_rank(B: np.ndarray) -> int:
     B = B.copy()
     rank = 0
     rows, cols = B.shape
-    col = 0
     for col in range(cols):
         pivot = None
         for r in range(rank, rows):

@@ -32,7 +32,7 @@ import heapq
 import itertools
 import math
 from collections import ChainMap, OrderedDict
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from typing import NamedTuple
 
 import numpy as np
@@ -64,6 +64,7 @@ class GeodesicPath:
     segs: list          # (cid, bary0, bary1) per segment; may be empty
     length: float
     deviations: list    # turning deviation from pi at interior breakpoints
+    _lens: list = field(default=None, init=False, repr=False, compare=False)
 
     @property
     def start(self) -> ComplexPoint:
@@ -80,11 +81,12 @@ class GeodesicPath:
         return ComplexPoint(self.comp, cid, b1)
 
     def seg_lengths(self) -> list[float]:
-        out = []
-        for cid, b0, b1 in self.segs:
-            co = self.comp.cells[cid].coords
-            out.append(float(np.linalg.norm((b1 - b0) @ co)))
-        return out
+        """Segment lengths, computed once: a path's segments never change."""
+        if self._lens is None:
+            self._lens = [
+                float(np.linalg.norm((b1 - b0) @ self.comp.cells[cid].coords))
+                for cid, b0, b1 in self.segs]
+        return self._lens
 
     def point_at(self, s: float) -> ComplexPoint:
         """Point at arclength s from the start (clamped to [0, length])."""
@@ -979,11 +981,8 @@ class GeodesicEngine:
             if np.linalg.norm((b1 - b0) @ co) < 1e-13:
                 continue
             clean.append((cid, b0, b1))
-        length = sum(
-            float(np.linalg.norm((b1 - b0) @ comp.cells[cid].coords))
-            for cid, b0, b1 in clean)
-        path = GeodesicPath(comp, clean, length,
-                            [0.0] * max(0, len(clean) - 1))
+        path = GeodesicPath(comp, clean, 0.0, [0.0] * max(0, len(clean) - 1))
+        path.length = sum(path.seg_lengths())
         if not clean:
             path._single = x
         return path

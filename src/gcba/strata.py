@@ -389,11 +389,11 @@ def _net_counts(comp: MetricComplex, scales, pool: int,
                 rng: np.random.Generator):
     """Greedy covering numbers at several scales.
 
-    Distances from each chosen center to the pool are evaluated in bulk:
-    minimum over the center's unfolded-tree candidates (plus the threading
-    bound through vertex classes), which is the distance itself away from
-    shadow boundaries.  Covering counts are insensitive to pool density, so
-    the log-log slope estimates the dimension reliably."""
+    Distances from each chosen center to the pool are evaluated in bulk as
+    the minimum over the chord lengths of the center's tree developments
+    (plus the threading bound through vertex classes).  No ray walk
+    validates a chord, so this is not the distance: it, and `box_counting`
+    with it, depends on which developments the tree holds."""
     eng = geo.engine(comp)
     verts = eng.vertex_points()
     nv = len(verts)
