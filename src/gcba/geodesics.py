@@ -5,9 +5,11 @@ cells are unfolded isometrically into the plane (the development step of
 Mitchell-Mount-Papadimitriou and Chen-Han).  One gate table per complex
 holds, for every edge of a 2-cell, the isometry that places each glued
 neighbour across it; a source tree composes these level by level in a
-radius-pruned breadth-first search, deduplicated by placement, and keeps
-its developments as arrays.  Straight candidates are validated by walking
-the ray through the complex with the same table.
+breadth-first search pruned at a radius, deduplicated by placement, and
+keeps its developments as arrays.  A query that needs more grows the tree
+in place from its frontier, a development front that only grows as in
+Chen-Han.  Straight candidates are validated by walking the ray through
+the complex with the same table.
 
 A shortest path bends only at singular vertices.  A vertex is flat when its
 link is one circle of length 2*pi; it then has a Euclidean disc as a
@@ -29,9 +31,8 @@ their directions (BH I.7).
 from __future__ import annotations
 
 import heapq
-import itertools
 import math
-from collections import ChainMap, OrderedDict
+from collections import OrderedDict
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -235,55 +236,70 @@ def _gate_table(comp: MetricComplex) -> GateTable:
 
 class _SourceTree:
     """Placements of 2-cells reachable from a source point by unfolding,
-    pruned at a radius; the source sits at the origin of the dev plane.
+    pruned at a radius that only grows; the source sits at the origin of the
+    dev plane.
 
     Development k places cell cid[k] by dev = A[k] @ local + t[k] and grew
     from the root development roots[root[k]], the source in one of its
-    cells, held as (cid, xy, bary, index of its development).  `cells` maps
-    each cell, in order of first development, to the slice of its
-    developments, which keep breadth-first order."""
+    cells, held as (cid, xy, bary, index of its development).  The
+    developments are grouped by cell, in order of growth within a cell, and
+    `cells` maps each cell to the slice of its own.  `frontier` marks those
+    that face a gate beyond the radius, where `grow` restarts the build: a
+    development front that only grows (Chen-Han)."""
 
     def __init__(self, engine: "GeodesicEngine", x: ComplexPoint, radius: float):
-        self.comp = engine.comp
-        self.radius = radius
+        comp = self.comp = engine.comp
+        self.gates = engine.gates
         # direct distances to the engine's singular vertices, filled by a
-        # query
+        # query and cleared by growth
         self.to_vertex = None
-        self._build(engine.gates, x)
-
-    def _build(self, gates: GateTable, x: ComplexPoint):
-        comp = self.comp
         roots = [(cid, np.asarray(bary) @ comp.cells[cid].coords,
                   np.asarray(bary))
                  for cid, bary in x.representations(comp)
                  if comp.cells[cid].dim == 2]
-        cid = np.array([r[0] for r in roots], dtype=np.intp)
-        A = np.eye(2)[None].repeat(len(roots), axis=0)
-        t = -np.array([r[1] for r in roots]).reshape(-1, 2)
+        # distinct representations place the source at distinct points
+        self.roots = [r + (i,) for i, r in enumerate(roots)]
+        self.cid = np.array([r[0] for r in roots], dtype=np.intp)
+        self.A = np.eye(2)[None].repeat(len(roots), axis=0)
+        self.t = -np.array([r[1] for r in roots]).reshape(-1, 2)
+        self.root = np.arange(len(roots))
+        self.frontier = np.ones(len(roots), dtype=bool)
+        self.radius, self.cells = 0.0, {}
+        self.grow(radius)
+
+    def grow(self, radius: float):
+        """Extend the tree to `radius`.  A development off the frontier has
+        crossed every gate it faces, so the build restarts from the
+        frontier and keeps the placements the tree does not hold: a tree
+        grown from r1 to r2 holds the placements of one built at r2."""
+        if radius <= self.radius:
+            return
+        self.to_vertex = None
+        gates = self.gates
         seen: set = set()
-        keep = _unseen(seen, cid, A, t)
-        roots = [roots[k] for k in keep]
-        level = (cid[keep], A[keep], t[keep], np.arange(len(keep)))
-        levels = [level]
-        total = len(keep)
-        cap = comp.settings.max_developments
-        while len(level[0]):
+        _unseen(seen, self.cid, self.A, self.t)
+        f = np.flatnonzero(self.frontier)
+        level = (self.cid[f], self.A[f], self.t[f], self.root[f])
+        levels, beyond = [], []
+        total = len(self.cid)
+        cap = self.comp.settings.max_developments
+        while True:
             # one breadth-first level: every gate of a parent that comes
             # within the radius places a child at (A @ R, A @ s + t).  A
-            # straight segment meets a line at most once, so a ray from the
-            # source crosses a gate only from the source's side of its line:
-            # the gate must have the source on the side of the parent's third
-            # vertex, or on the line
+            # straight segment from the source meets a line through the
+            # source only there, and every cell that holds the source is a
+            # root, so a ray from it crosses a gate only when the source
+            # lies strictly on the side of the parent's third vertex
             pc, pA, pt, pr = level
             corners = gates.coords[pc] @ pA.transpose(0, 2, 1) + pt[:, None]
             # the source in each parent's own coordinates
             src = np.einsum("nji,nj->ni", pA, -pt)
             w = gates.inward[pc]
-            near = ((_seg_dist_origin(corners[:, _EDGE[:, 0]],
-                                      corners[:, _EDGE[:, 1]]) <= self.radius)
-                    & (np.einsum("nkj,nj->nk", w[..., :2], src) + w[..., 2]
-                       >= -1e-12))
-            par, drop = np.nonzero(near)
+            faces = np.einsum("nkj,nj->nk", w[..., :2], src) + w[..., 2] > 1e-12
+            near = _seg_dist_origin(corners[:, _EDGE[:, 0]],
+                                    corners[:, _EDGE[:, 1]]) <= radius
+            beyond.append((faces & ~near).any(axis=1))
+            par, drop = np.nonzero(faces & near)
             if not len(par):
                 break
             lo, hi = gates.span[pc[par], drop].T
@@ -293,6 +309,8 @@ class _SourceTree:
             cA = pA[par] @ gates.R[g]
             ct = np.einsum("nij,nj->ni", pA[par], gates.s[g]) + pt[par]
             keep = _unseen(seen, gates.cid[g], cA, ct)
+            if not len(keep):
+                break
             level = (gates.cid[g][keep], cA[keep], ct[keep], pr[par][keep])
             levels.append(level)
             total += len(keep)
@@ -301,17 +319,19 @@ class _SourceTree:
                 raise GeodesicError(
                     f"source tree truncated: {total} developments "
                     f"passed the cap max_developments={cap}")
-        cid, A, t, root = (np.concatenate(col) for col in zip(*levels))
-        group: dict = {}
-        for k, c in enumerate(cid.tolist()):
-            group.setdefault(c, []).append(k)
-        order = [k for ks in group.values() for k in ks]
-        self.cid, self.A, self.t, self.root = (
-            cid[order], A[order], t[order], root[order])
-        stop = itertools.accumulate(len(ks) for ks in group.values())
-        self.cells = {c: slice(b - len(ks), b)
-                      for (c, ks), b in zip(group.items(), stop)}
-        self.roots = [r + (order.index(k),) for k, r in enumerate(roots)]
+        frontier = np.concatenate([self.frontier] + beyond[1:])
+        frontier[f] = beyond[0]
+        cols = [np.concatenate(col) for col in zip(
+            (self.cid, self.A, self.t, self.root), *levels)] + [frontier]
+        order = np.argsort(cols[0], kind="stable")
+        self.cid, self.A, self.t, self.root, self.frontier = (
+            col[order] for col in cols)
+        where = np.argsort(order)
+        self.roots = [r[:3] + (int(where[r[3]]),) for r in self.roots]
+        cells, start = np.unique(self.cid, return_index=True)
+        self.cells = {c: slice(a, b) for c, a, b in zip(
+            cells.tolist(), start.tolist(), start[1:].tolist() + [total])}
+        self.radius = radius
 
     def candidates(self, y: ComplexPoint):
         """Straight candidates (length, root_cid, root_xy, direction, chord)
@@ -444,17 +464,18 @@ class GeodesicEngine:
     source trees, ray walks and `strainers`.  It owns every cache kept for
     that complex:
 
-    * source trees, each a few arrays (`_SourceTree`): a point's tree is
-      reused while queries fit inside its radius and rebuilt with a larger
-      radius when one does not; trees at singular vertices are kept for the
-      engine's lifetime, others sit in an LRU;
+    * source trees, each a few arrays (`_SourceTree`): a point has one
+      tree, grown in place when a query needs a larger radius; trees at
+      singular vertices are kept for the engine's lifetime, others sit in
+      an LRU;
     * the singular vertices (`singular_points`), decided once from the
       vertex links: a shortest path bends only there (a flat vertex has a
       Euclidean disc as neighbourhood, BH I.5), so the vertex distances of a
       tree, the vertex table and the Dijkstra layer of `_assemble` cover
       them alone, and ray walks go straight on through flat vertices;
-    * edge positions of points, the vertex table and the chord graph (the
-      chord graph keeps every vertex: there a vertex is only a bound);
+    * edge positions of points, the vertex table, the vertex of each cell
+      corner (`vid_map`) and the connected components, which let
+      `distance` raise `Disconnected` before it grows any tree;
     * links (`links.link_at`), one per open face, so the complex bounds
       their number; each keeps its spherical-tuple searches.
 
@@ -478,11 +499,15 @@ class GeodesicEngine:
         self._vv_radius = -1.0
         self._edge_pos_cache = _LRU(_EDGE_POS_CACHE_SIZE)
         self._link_cache: dict = {}
-        self._chord = None
-        self._vid_cache: dict = {}
+        self._vids = None
+        self._components = None
         self.gates = _gate_table(comp)
         self._scale = max(
             float(np.max(c.lengths)) if c.dim > 0 else 1.0 for c in comp.cells)
+        # no two points of one component are farther apart: a cell to one
+        # of its vertices, every edge of the 1-skeleton, a vertex to a cell
+        self._reach = 2 * self._scale + sum(
+            float(np.triu(c.lengths).sum()) for c in comp.cells)
 
     # -- local linear algebra -------------------------------------------------
 
@@ -662,10 +687,12 @@ class GeodesicEngine:
         return hit if hit is not None else self._trees.get(key)
 
     def tree(self, x: ComplexPoint, radius: float) -> _SourceTree:
+        """x's source tree, grown to at least `radius`; one per point."""
         key = x.key()
-        hit = self._cached_tree(key)
-        if hit is not None and hit.radius >= radius - 1e-12:
-            return hit
+        t = self._cached_tree(key)
+        if t is not None:
+            t.grow(radius)
+            return t
         t = _SourceTree(self, x, radius)
         self.singular_points()   # fills _singular_keys
         if key in self._singular_keys:
@@ -677,15 +704,11 @@ class GeodesicEngine:
     def vertex_points(self) -> list[ComplexPoint]:
         if self._vertex_points is None:
             from .complexes import vertex_point
-            roots = sorted(self.comp.face_classes(dim=0))
-            pts = []
-            seen = set()
-            for r in roots:
+            pts: dict = {}
+            for r in sorted(self.comp.face_classes(dim=0)):
                 vp = vertex_point(self.comp, r)
-                if vp.key() not in seen:
-                    seen.add(vp.key())
-                    pts.append(vp)
-            self._vertex_points = pts
+                pts.setdefault(vp.key(), vp)
+            self._vertex_points = list(pts.values())
         return self._vertex_points
 
     def singular_points(self) -> list[ComplexPoint]:
@@ -702,62 +725,33 @@ class GeodesicEngine:
                                   if flat[i]}
         return self._singular
 
-    def _chord_graph(self):
-        if self._chord is not None:
-            return self._chord
-        from .complexes import vertex_point
-        comp = self.comp
-        verts = self.vertex_points()
-        vkeys = {v.key(): i for i, v in enumerate(verts)}
-        for cell in comp.cells:
-            for s in range(cell.nverts):
-                root = comp.face_root(cell.cid, (s,))
-                self._vid_cache[(cell.cid, s)] = vkeys[
-                    vertex_point(comp, root).key()]
+    def vid_map(self) -> dict:
+        """(cell, vertex slot) -> index of its vertex in `vertex_points`."""
+        if self._vids is None:
+            from .complexes import vertex_point
+            comp = self.comp
+            index = {v.key(): i for i, v in enumerate(self.vertex_points())}
+            self._vids = {
+                (cell.cid, s): index[vertex_point(
+                    comp, comp.face_root(cell.cid, (s,))).key()]
+                for cell in comp.cells for s in range(cell.nverts)}
+        return self._vids
 
-        def vid(cid, slot):
-            return self._vid_cache[(cid, slot)]
+    def _component(self, x: ComplexPoint) -> int:
+        """Label of x's connected component.  Every glued face holds a
+        vertex, so cells that share a vertex are joined; once per engine."""
+        if self._components is None:
+            vids, up = self.vid_map(), list(range(len(self.vertex_points())))
 
-        adj: dict[int, list] = {i: [] for i in range(len(verts))}
-        for cell in comp.cells:
-            if cell.dim == 0:
-                continue
-            ids = [vid(cell.cid, s) for s in range(cell.nverts)]
-            for i in range(cell.nverts):
-                for j in range(i + 1, cell.nverts):
-                    w = float(cell.lengths[i, j])
-                    adj[ids[i]].append((ids[j], w))
-                    adj[ids[j]].append((ids[i], w))
-        self._chord = (adj, vid)
-        return self._chord
+            def find(i):
+                while up[i] != i:
+                    i = up[i]
+                return i
 
-    def vid_map(self):
-        self._chord_graph()
-        return self._vid_cache
-
-    def _coarse_bound(self, x: ComplexPoint, y: ComplexPoint) -> float:
-        comp = self.comp
-        base_adj, vid = self._chord_graph()
-        n = len(self.vertex_points())
-        SRC, DST = n, n + 1
-        # the two virtual nodes and their edges sit in an overlay
-        adj = ChainMap({SRC: [], DST: []}, base_adj)
-        for node, p in ((SRC, x), (DST, y)):
-            for cid, bary in p.representations(comp):
-                cell = comp.cells[cid]
-                if cell.dim == 0:
-                    continue
-                xy = np.asarray(bary) @ cell.coords
-                for s in range(cell.nverts):
-                    w = float(np.linalg.norm(xy - cell.coords[s]))
-                    j = vid(cid, s)
-                    adj[node].append((j, w))
-                    adj[j] = adj.get(j, []) + [(node, w)]
-        chord = self._shared_cell_chord(x, y)
-        if chord < math.inf:
-            adj[SRC].append((DST, chord))
-        dist = _dijkstra(adj, SRC)
-        return dist.get(DST, math.inf)
+            for (cid, _), v in vids.items():
+                up[find(v)] = find(vids[(cid, 0)])
+            self._components = [find(vids[(c.cid, 0)]) for c in self.comp.cells]
+        return self._components[x.cid]
 
     def _shared_cell_chord(self, x: ComplexPoint, y: ComplexPoint) -> float:
         """Shortest straight segment from x to y inside one closed cell that
@@ -835,30 +829,32 @@ class GeodesicEngine:
         if inner is not None:
             ln, seg = inner
             return ln, (self._finalize_path([seg], x) if need_path else None)
+        if self._component(x) != self._component(y):
+            raise self._disconnected(self._cached_tree(x.key()))
         swap = False
         tx = self._cached_tree(x.key())
         ty = self._cached_tree(y.key())
         if tx is None and ty is not None:
             x, y, tx = y, x, ty
             swap = True
-        if tx is not None:
+        if tx is None:
+            # a chord through a shared closed cell is a path, so no piece of
+            # the geodesic is longer and a tree that long holds them all
+            chord = self._shared_cell_chord(x, y)
+            tx = self.tree(x, chord * (1 + 1e-9) + 1e-12
+                           if chord < math.inf else self._scale)
+        while True:
+            # every straight piece no longer than the radius is in the
+            # tree, so a result within the radius is the distance
             res = self._assemble(tx, x, y, need_path)
             if res is not None and res[0] <= tx.radius + 1e-12:
                 return self._orient(res, swap)
-        # a chord through a shared cell sizes the tree without the chord
-        # graph search; the tree still certifies the distance
-        ub = self._shared_cell_chord(x, y)
-        if math.isinf(ub):
-            ub = self._coarse_bound(x, y)
-        if math.isinf(ub):
-            raise self._disconnected(tx)
-        R = ub * (1 + 1e-9) + 1e-12
-        if tx is None or tx.radius < R:
-            tx = self.tree(x, R)
-        res = self._assemble(tx, x, y, need_path)
-        if res is None:
-            raise self._disconnected(tx)
-        return self._orient(res, swap)
+            if res is None and tx.radius > self._reach:
+                raise GeodesicError(
+                    f"no path found within radius {tx.radius:.6g}, past the "
+                    f"length {self._reach:.6g} of a path through the edges")
+            tx = self.tree(x, res[0] * (1 + 1e-9) + 1e-12 if res is not None
+                           else max(2.0 * tx.radius, self._scale))
 
     def _disconnected(self, tx: _SourceTree | None) -> Disconnected:
         radius, devs = (tx.radius, len(tx.cid)) if tx is not None else (0.0, 0)
@@ -901,6 +897,8 @@ class GeodesicEngine:
         within the available trees."""
         d0, segs0 = self._direct(tx, x, y)
         verts = self.singular_points()
+        if d0 == math.inf and not verts:
+            return None
         to_vertex = self._to_vertex(tx, x)
         # a path that bends does so at a singular vertex, so it is at least
         # as long as the closest one: a shorter validated direct segment is
@@ -918,12 +916,10 @@ class GeodesicEngine:
             d = to_vertex[i]
             if d < math.inf:
                 adj[SRC].append((i, d))
-            tvi = self._cached_tree(v.key())
-            if tvi is not None:
-                dy, sy = self._direct(tvi, v, y)
-                if dy < math.inf:
-                    adj[i].append((DST, dy))
-                    meta[(i, DST)] = sy
+            dy, sy = self._direct(self._vertex_trees[v.key()], v, y)
+            if dy < math.inf:
+                adj[i].append((DST, dy))
+                meta[(i, DST)] = sy
         for (i, j), (d, segs) in vtable.items():
             adj[i].append((j, d))
             meta[(i, j)] = segs

@@ -12,7 +12,9 @@ are the exact intervals of `ball_intervals_1d`, whose summed length is the
 disks of radius r about x, and those of radius r - d(x, v) about each
 singular vertex v within r, where shortest paths bend.  The 2-mass is Monte
 Carlo over that cover, with each draw weighted by one over the number of
-disks that hold it, so the reported standard error is honest.
+disks that hold it, so the reported standard error is honest.  The disks are
+sorted by cell, center and radius: a seeded draw must not depend on which
+source trees the engine has cached or how far they grew.
 """
 
 from __future__ import annotations
@@ -189,7 +191,7 @@ class BallCover:
     bend, or in the disk of radius r - d(x, v) about v in a development of
     the tree of the path's last singular vertex v.  `disks` holds (cid,
     center, radius, area of the disk inside the cell) for every development
-    whose disk meets its cell, x's first."""
+    whose disk meets its cell, sorted by cell, center and radius."""
 
     def __init__(self, comp: MetricComplex, x: ComplexPoint, r: float):
         self.comp = comp
@@ -199,6 +201,7 @@ class BallCover:
                                   in eng.singular_within(x, r) if dv < r]:
             tree = eng.tree(v, rho * (1 + 1e-9) + 1e-12)
             self.disks += _tree_disks(comp, tree, rho)
+        self.disks.sort(key=lambda d: (d[0], *d[1], d[2]))
         areas = np.array([d[3] for d in self.disks])
         self.area = float(areas.sum())
         self.probs = areas / self.area

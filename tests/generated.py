@@ -9,6 +9,7 @@
   of a product vertex (u, c) is the spherical join Lk(u) * Lk(c), a complete
   bipartite graph with arcs of pi/2 and girth 2*pi, so every product passes
   the link condition (BH II.5); the metric is d^2 = d_G^2 + d_C^2.
+* `random_graph`: a connected metric graph for `graph_product`.
 """
 
 import math
@@ -62,6 +63,18 @@ def graph_product(graph, cycle):
             for j in range(m):
                 gluings.append(((e + E * j, f), (e2 + E * j, f2), f2))
     return build_complex(specs, gluings)
+
+
+def random_graph(n: int, m: int, rng):
+    """m edges on n vertices: the path 0-1-...-(n-1) plus random extra
+    edges between distinct vertices, none repeated, with lengths drawn
+    uniformly from [0.3, 1]."""
+    edges = [(i, i + 1) for i in range(n - 1)]
+    while len(edges) < m:
+        u, w = sorted(int(v) for v in rng.choice(n, size=2, replace=False))
+        if (u, w) not in edges:
+            edges.append((u, w))
+    return [(u, w, float(rng.uniform(0.3, 1.0))) for u, w in edges]
 
 
 def _rectangle(a: float, b: float):

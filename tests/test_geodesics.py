@@ -166,6 +166,19 @@ def test_truncated_tree_raises():
     assert d == pytest.approx(torus_oracle(x, y), abs=1e-9)
 
 
+def test_growth_stops_past_the_edge_path_bound(monkeypatch):
+    # a lone triangle's tree holds it at any radius; were no path ever
+    # assembled, growing would not end, so the engine stops once the radius
+    # passes the length of a path through the edges
+    tri = 1 - np.eye(3)
+    comp = complexes.build_complex([(2, tri)], [])
+    monkeypatch.setattr(geo.GeodesicEngine, "_assemble",
+                        lambda self, tx, x, y, need_path: None)
+    with pytest.raises(geo.GeodesicError, match="past the length 5 "):
+        geo.engine(comp).distance(complexes.point(comp, 0, [0.8, 0.1, 0.1]),
+                                  complexes.point(comp, 0, [0.1, 0.1, 0.8]))
+
+
 @pytest.mark.parametrize("name, x, r", [
     ("torus", (0.3, 0.4), 0.15), ("torus", (0.0, 0.5), 0.3),
     ("theta_s1", (0, 0.05, 0.3), 0.2), ("theta_s1", (1, 0.0, 0.7), 0.35),

@@ -103,6 +103,31 @@ def test_ball_mass_across_the_spine(theta_s1):
     assert np.mean(masses) == pytest.approx(exact, rel=3e-3)
 
 
+@pytest.mark.parametrize("name, warm", [("theta_s1", 1.0), ("torus", 0.2)])
+def test_ball_draws_do_not_depend_on_cached_trees(name, warm):
+    # a tree built earlier for a farther query holds more developments than
+    # one grown for the ball, and one grown from a nearer query holds them
+    # in another order; the cover lists each disk once, sorted, so the
+    # draws are the same
+    def draws(warm):
+        if name == "theta_s1":
+            comp = corpus.theta_times_circle()
+            x = square_point(comp, 0, 0.05, 0.3)
+        else:
+            comp = corpus.flat_torus()
+            x = torus_point(comp, 0.3, 0.4)
+        if warm:
+            geo.engine(comp).tree(x, warm)
+        disks = strata.BallCover(comp, x, 0.4).disks
+        assert len({(c, *center, rho) for c, center, rho, _ in disks}) \
+            == len(disks)
+        out = strata.ball_mass_2d(comp, x, 0.4, rng=np.random.default_rng(1))
+        pts = geo.ball_samples(comp, x, 0.4, 20, np.random.default_rng(2))
+        return out, [p.key() for p in pts]
+
+    assert draws(None) == draws(warm)
+
+
 def test_ball_on_the_4pi_cone():
     # x at s = 0.1 from the apex of the cone of angle 4 pi, on cell 0's
     # bisector: B_rho(x) has area pi rho^2 + (4 pi - 2 pi)(rho - s)_+^2 / 2,

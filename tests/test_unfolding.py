@@ -26,7 +26,7 @@ sys.path.insert(0, os.path.join(ROOT, "bench"))
 from gridtorus import grid_point, grid_torus, torus_distance  # noqa: E402
 
 from generated import (fan, graph_product, product_distance,  # noqa: E402
-                       product_point, random_product_coords)
+                       product_point, random_graph, random_product_coords)
 
 
 def _corpus_complexes():
@@ -178,7 +178,8 @@ def test_grid_query_builds_no_vertex_layer(monkeypatch):
 
 def test_theta_s1_vertex_layer_builds_the_same_trees(monkeypatch):
     # both vertices of theta x S^1 are singular; the trees are those the
-    # engine built when every vertex was threaded
+    # engine built when every vertex was threaded.  The two points share no
+    # closed cell, so x's tree starts at the longest edge, sqrt(2)
     built = _record_trees(monkeypatch)
     comp = corpus.theta_times_circle()
     eng = geo.engine(comp)
@@ -186,7 +187,7 @@ def test_theta_s1_vertex_layer_builds_the_same_trees(monkeypatch):
                         corpus.square_point(comp, 2, 0.7, 0.6))
     assert d == pytest.approx(math.hypot(0.9, 0.3), abs=1e-9)
     assert built == [((1, (0, 1, 2), (7000000000, 2000000000, 1000000000)),
-                      1.282509575),
+                      1.414213562),
                      ((0, (0,), (10000000000,)), 2.828427125),
                      ((0, (2,), (10000000000,)), 2.828427125)]
     assert len(eng._vertex_trees) == 2 and eng._vv is not None
@@ -208,6 +209,91 @@ def test_inner_chord_needs_no_tree(monkeypatch):
         tree = geo._SourceTree(eng, x, d * 1.5)
         assert d == eng._assemble(tree, x, y, need_path=False)[0]
     assert len(built) == 20     # the 20 reference trees only
+
+
+def test_no_source_builds_a_second_tree(monkeypatch):
+    # farther targets grow a point's one tree, and the vertex trees of
+    # theta x S^1 grow with the vertex table
+    built = _record_trees(monkeypatch)
+    rng = np.random.default_rng(4)
+    grid, ts = grid_torus(4), corpus.theta_times_circle()
+    for _ in range(5):
+        p = rng.random(2)
+        x = grid_point(grid, 4, *p)
+        for k, f in enumerate((0.05, 0.2, 0.4, 0.7)):
+            q = (p + f * np.array([1.0, 0.3])) % 1.0
+            d, _ = geo.engine(grid).distance(x, grid_point(grid, 4, *q),
+                                             need_path=k % 2 == 0)
+            assert d == pytest.approx(torus_distance(p, q), abs=1e-9)
+        x = corpus.square_point(ts, int(rng.integers(3)), *rng.random(2))
+        for _ in range(4):
+            y = corpus.square_point(ts, int(rng.integers(3)), *rng.random(2))
+            geo.engine(ts).distance(x, y, need_path=False)
+    keys = [key for key, _ in built]
+    assert len(keys) > 10 and len(keys) == len(set(keys))
+
+
+def _placements(tree):
+    return {c: np.concatenate([tree.A[sl].reshape(-1, 4), tree.t[sl]], axis=1)
+            for c, sl in tree.cells.items()}
+
+
+@pytest.mark.parametrize("name", ["torus", "theta_s1_spine", "grid",
+                                  "cone_apex"])
+def test_grown_tree_holds_the_placements_of_a_built_one(name):
+    if name == "torus":
+        comp = corpus.flat_torus()
+        x = corpus.torus_point(comp, 0.3, 0.45)
+    elif name == "theta_s1_spine":
+        comp = corpus.theta_times_circle()
+        x = corpus.square_point(comp, 0, 0.0, 0.37)
+    elif name == "grid":
+        comp = grid_torus(4)
+        x = grid_point(comp, 4, 0.3, 0.55)
+    else:
+        comp = fan([math.pi / 2] * 8)
+        x = complexes.point(comp, 0, [1.0, 0.0, 0.0])
+    eng = geo.engine(comp)
+    grown = geo._SourceTree(eng, x, 0.4)
+    small = len(grown.cid)
+    eng._to_vertex(grown, x)
+    grown.grow(0.8)
+    grown.grow(1.3)
+    assert grown.to_vertex is None and grown.radius == 1.3
+    built = geo._SourceTree(eng, x, 1.3)
+    # the apex tree is its 8 roots at any radius: no gate faces the apex
+    # but the rim, which leads nowhere
+    assert len(grown.cid) == len(built.cid) > small or \
+        (name == "cone_apex" and small == len(built.cid) == 8)
+    have, want = _placements(grown), _placements(built)
+    assert have.keys() == want.keys()
+    for c, rows in want.items():
+        gap = np.abs(rows[:, None] - have[c][None]).max(axis=2).min(axis=1)
+        assert gap.max() <= 1e-9, c
+    rng = np.random.default_rng(6)
+    for _ in range(20):
+        y = geo.uniform_point(comp, rng)
+        a = eng._assemble(grown, x, y, need_path=False)
+        b = eng._assemble(built, x, y, need_path=False)
+        assert (a is None) == (b is None)
+        if a is not None:
+            assert a[0] == pytest.approx(b[0], abs=1e-12)
+
+
+def test_separate_triangle_is_disconnected():
+    # a flat torus and a triangle glued to nothing: the engine names the
+    # two components instead of growing a tree until the cap stops it
+    specs = [(2, np.array(corpus._square_lengths(1.0))), (2, 1 - np.eye(3))]
+    gluings = [((0, (0, 1)), (0, (2, 3)), (3, 2)),
+               ((0, (0, 3)), (0, (1, 2)), (1, 2))]
+    comp = build_complex(specs, gluings, 0.0)
+    eng = geo.engine(comp)
+    x = complexes.point(comp, 0, [0.2, 0.3, 0.5])
+    y = complexes.point(comp, 2, [0.2, 0.3, 0.5])
+    eng.distance(x, complexes.point(comp, 1, [0.5, 0.2, 0.3]))
+    for p, q in ((x, y), (y, x)):
+        with pytest.raises(geo.Disconnected):
+            eng.distance(p, q)
 
 
 def test_disconnected_names_the_search():
@@ -269,8 +355,8 @@ def _loop_tree(comp, x, radius):
     """(cid, A, t) of every development, one at a time: the reference for
     the level-by-level array build.  Each neighbour is placed with
     `_place_cell` from its parent's corners in the development plane, across
-    the gates that come within the radius and have the source on the
-    parent's side."""
+    the gates that come within the radius and have the source strictly on
+    the parent's side."""
     devs, seen = [], set()
 
     def push(cid, A, t):
@@ -293,9 +379,10 @@ def _loop_tree(comp, x, radius):
             near = geo._seg_dist_origin(e0[None], e1[None])[0]
             if near > radius:
                 continue
-            # a ray from the source crosses the gate from the source's side
+            # a ray from the source crosses the gate from the source's side;
+            # it meets a gate line through the source only at the source
             source_side = _cross(e0, e1, (0.0, 0.0)) / np.linalg.norm(e1 - e0)
-            if source_side * np.sign(_cross(e0, e1, corners[drop])) < -1e-12:
+            if source_side * np.sign(_cross(e0, e1, corners[drop])) <= 1e-12:
                 continue
             my_corr = comp.face_corr(cid, tup)
             for mcid, mtup in comp.face_class_members(
@@ -357,6 +444,61 @@ def test_graph_product_closed_form(graph, cycle):
         assert d == pytest.approx(product_distance(graph, cycle, p, q),
                                   abs=1e-9), (p, q)
         assert path.length == pytest.approx(d, abs=1e-9), (p, q)
+
+
+@pytest.mark.parametrize("n, m, k, pairs", [(8, 12, 6, 20), (12, 20, 8, 10)],
+                         ids=["G8_12_x_C6", "G12_20_x_C8"])
+def test_random_graph_product_closed_form(n, m, k, pairs):
+    # 144 and 320 triangles with 24 and 72 singular vertices; a vertex tree
+    # that crossed the gates whose lines run through its source wound
+    # around the vertex past the development cap
+    rng = np.random.default_rng(1)
+    graph = random_graph(n, m, rng)
+    cycle = [float(c) for c in rng.uniform(0.3, 1.0, size=k)]
+    comp = graph_product(graph, cycle)
+    eng = geo.engine(comp)
+    for _ in range(pairs):
+        p = random_product_coords(graph, cycle, rng)
+        q = random_product_coords(graph, cycle, rng)
+        d, path = eng.distance(product_point(comp, graph, cycle, *p),
+                               product_point(comp, graph, cycle, *q))
+        assert d == pytest.approx(product_distance(graph, cycle, p, q),
+                                  abs=1e-9), (p, q)
+        assert path.length == pytest.approx(d, abs=1e-9), (p, q)
+
+
+def test_cone_of_angle_7_closed_form():
+    # seven unit-leg triangles of apex angle 1 make a CAT(0) cone of angle
+    # 7; points (s, phi) at angle dphi around the apex are at distance
+    # sqrt(s^2 + t^2 - 2 s t cos(min(pi, dphi))), bending at the apex when
+    # dphi > pi (BH I.5)
+    cone = fan([1.0] * 7)
+    eng = geo.engine(cone)
+
+    def point(s, phi):
+        i, f = int(phi), phi - int(phi)
+        co = cone.cells[i].coords
+        u, v = co[1] - co[0], co[2] - co[0]
+        w = v - (v @ u) * u
+        xy = co[0] + s * (math.cos(f) * u + math.sin(f) * w / np.linalg.norm(w))
+        return complexes.point(cone, i, eng.bary_from_xy(i, xy))
+
+    rng = np.random.default_rng(0)
+    apex = complexes.point(cone, 0, [1.0, 0.0, 0.0])
+    for k in range(30):
+        s, t = rng.uniform(0.05, 0.85, size=2)
+        phi = rng.uniform(0.0, 7.0)
+        dphi = (rng.uniform(0.2, math.pi - 0.1) if k % 2
+                else rng.uniform(math.pi + 0.05, 3.45))
+        exact = math.sqrt(s * s + t * t
+                          - 2 * s * t * math.cos(min(math.pi, dphi)))
+        x, y = point(s, phi), point(t, (phi + dphi) % 7.0)
+        d, path = eng.distance(x, y)
+        assert d == pytest.approx(exact, abs=1e-9), (s, t, phi, dphi)
+        assert path.length == pytest.approx(d, abs=1e-9)
+        assert eng.distance(apex, y, need_path=False)[0] == \
+            pytest.approx(t, abs=1e-9)
+    assert len(eng.tree(apex, 1.0).cid) == 7
 
 
 def test_cached_tree_memory_is_small():
