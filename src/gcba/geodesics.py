@@ -248,11 +248,12 @@ class _SourceTree:
     development front that only grows (Chen-Han)."""
 
     def __init__(self, engine: "GeodesicEngine", x: ComplexPoint, radius: float):
-        comp = self.comp = engine.comp
+        self.comp = engine.comp
         self.gates = engine.gates
         # direct distances to the engine's singular vertices, filled by a
         # query and cleared by growth
         self.to_vertex = None
+        comp = self.comp
         roots = [(cid, np.asarray(bary) @ comp.cells[cid].coords,
                   np.asarray(bary))
                  for cid, bary in x.representations(comp)
@@ -280,6 +281,12 @@ class _SourceTree:
         _unseen(seen, self.cid, self.A, self.t)
         f = np.flatnonzero(self.frontier)
         level = (self.cid[f], self.A[f], self.t[f], self.root[f])
+        # a root holds the source and faces exactly the edges whose opposite
+        # weight is nonzero: canonical weights are 0 or above bary_tol, so
+        # no rounding decides it
+        at = np.array([r[3] for r in self.roots], dtype=np.intp)
+        fixed = np.flatnonzero(at[level[3]] == f)
+        exact = np.array([r[2] > 0 for r in self.roots]).reshape(-1, 3)
         levels, beyond = [], []
         total = len(self.cid)
         cap = self.comp.settings.max_developments
@@ -295,7 +302,11 @@ class _SourceTree:
             # the source in each parent's own coordinates
             src = np.einsum("nji,nj->ni", pA, -pt)
             w = gates.inward[pc]
-            faces = np.einsum("nkj,nj->nk", w[..., :2], src) + w[..., 2] > 1e-12
+            tol = _LINE_TOL * (1.0 + np.hypot(pt[:, 0], pt[:, 1]))
+            faces = (np.einsum("nkj,nj->nk", w[..., :2], src) + w[..., 2]
+                     > tol[:, None])
+            faces[fixed] = exact[pr[fixed]]
+            fixed = fixed[:0]
             near = _seg_dist_origin(corners[:, _EDGE[:, 0]],
                                     corners[:, _EDGE[:, 1]]) <= radius
             beyond.append((faces & ~near).any(axis=1))
@@ -332,6 +343,17 @@ class _SourceTree:
         self.cells = {c: slice(a, b) for c, a, b in zip(
             cells.tolist(), start.tolist(), start[1:].tolist() + [total])}
         self.radius = radius
+
+    def beyond(self, y: ComplexPoint) -> float:
+        """Shortest chord to a placement of y past the radius, inf if none:
+        the radius at which the tree next offers a candidate for y."""
+        lns = [math.inf]
+        for cid, bary in y.representations(self.comp):
+            sl = self.cells.get(cid)
+            if sl is not None:
+                ps = self.A[sl] @ (bary @ self.comp.cells[cid].coords)
+                lns += np.hypot(*(ps + self.t[sl]).T).tolist()
+        return min(ln for ln in lns if ln > self.radius + 1e-12)
 
     def candidates(self, y: ComplexPoint):
         """Straight candidates (length, root_cid, root_xy, direction, chord)
@@ -387,6 +409,11 @@ def _unseen(seen: set, cid, A, t) -> np.ndarray:
             keep.append(k)
     return np.array(keep, dtype=np.intp)
 
+
+# past the roots a gate's line runs through the source only by rounding,
+# measured at up to 3e-16 of the parent's distance from the source; a
+# source nearer a line than this fraction counts as on it
+_LINE_TOL = 1e-13
 
 # the two vertex slots of the edge opposite slot 0, 1 and 2 of a triangle
 _EDGE = np.array([(1, 2), (0, 2), (0, 1)])
@@ -704,11 +731,15 @@ class GeodesicEngine:
     def vertex_points(self) -> list[ComplexPoint]:
         if self._vertex_points is None:
             from .complexes import vertex_point
-            pts: dict = {}
-            for r in sorted(self.comp.face_classes(dim=0)):
+            roots = sorted(self.comp.face_classes(dim=0))
+            pts = []
+            seen = set()
+            for r in roots:
                 vp = vertex_point(self.comp, r)
-                pts.setdefault(vp.key(), vp)
-            self._vertex_points = list(pts.values())
+                if vp.key() not in seen:
+                    seen.add(vp.key())
+                    pts.append(vp)
+            self._vertex_points = pts
         return self._vertex_points
 
     def singular_points(self) -> list[ComplexPoint]:
@@ -753,11 +784,13 @@ class GeodesicEngine:
             self._components = [find(vids[(c.cid, 0)]) for c in self.comp.cells]
         return self._components[x.cid]
 
-    def _shared_cell_chord(self, x: ComplexPoint, y: ComplexPoint) -> float:
-        """Shortest straight segment from x to y inside one closed cell that
-        holds both (inf if none).  It is a path, so its length bounds
-        d(x, y) from above; on the torus or theta x S^1 a wrap-around can be
-        shorter, so it is not the distance."""
+    def _local_path(self, x: ComplexPoint, y: ComplexPoint) -> float:
+        """Length of the shortest path from x to y made of a segment inside
+        one closed cell that holds both, or of two segments through a vertex
+        of a closed cell holding x and one holding y (inf if none).  Each
+        segment lies in a convex cell, so it bounds d(x, y) from above; on
+        the torus or theta x S^1 a wrap-around can be shorter, so it is not
+        the distance."""
         xreps = dict(x.representations(self.comp))
         best = math.inf
         for cid, ybary in y.representations(self.comp):
@@ -765,7 +798,22 @@ class GeodesicEngine:
                 co = self.comp.cells[cid].coords
                 best = min(best,
                            float(np.linalg.norm((xreps[cid] - ybary) @ co)))
-        return best
+
+        def corners(p):
+            """vertex index -> distance from p, over p's closed cells"""
+            out: dict = {}
+            vids = self.vid_map()
+            for cid, bary in p.representations(self.comp):
+                co = self.comp.cells[cid].coords
+                for s, d in enumerate(
+                        np.linalg.norm(co - bary @ co, axis=1).tolist()):
+                    v = vids[(cid, s)]
+                    out[v] = min(out.get(v, math.inf), d)
+            return out
+
+        cy = corners(y)
+        return min([best] + [d + cy[v] for v, d in corners(x).items()
+                             if v in cy])
 
     def _match_point(self, out: _RayOutcome, y: ComplexPoint) -> bool:
         tol = 1e-7 * max(1.0, self._scale)
@@ -830,7 +878,10 @@ class GeodesicEngine:
             ln, seg = inner
             return ln, (self._finalize_path([seg], x) if need_path else None)
         if self._component(x) != self._component(y):
-            raise self._disconnected(self._cached_tree(x.key()))
+            raise Disconnected(
+                f"no path between the given points: they lie in different "
+                f"connected components ({self._component(x)} and "
+                f"{self._component(y)})")
         swap = False
         tx = self._cached_tree(x.key())
         ty = self._cached_tree(y.key())
@@ -838,11 +889,11 @@ class GeodesicEngine:
             x, y, tx = y, x, ty
             swap = True
         if tx is None:
-            # a chord through a shared closed cell is a path, so no piece of
-            # the geodesic is longer and a tree that long holds them all
-            chord = self._shared_cell_chord(x, y)
-            tx = self.tree(x, chord * (1 + 1e-9) + 1e-12
-                           if chord < math.inf else self._scale)
+            # no piece of the geodesic is longer than a path, so a tree that
+            # long holds them all
+            ub = self._local_path(x, y)
+            tx = self.tree(x, ub * (1 + 1e-9) + 1e-12
+                           if ub < math.inf else self._scale)
         while True:
             # every straight piece no longer than the radius is in the
             # tree, so a result within the radius is the distance
@@ -853,15 +904,15 @@ class GeodesicEngine:
                 raise GeodesicError(
                     f"no path found within radius {tx.radius:.6g}, past the "
                     f"length {self._reach:.6g} of a path through the edges")
-            tx = self.tree(x, res[0] * (1 + 1e-9) + 1e-12 if res is not None
-                           else max(2.0 * tx.radius, self._scale))
-
-    def _disconnected(self, tx: _SourceTree | None) -> Disconnected:
-        radius, devs = (tx.radius, len(tx.cid)) if tx is not None else (0.0, 0)
-        return Disconnected(
-            f"no path between the given points: source tree of radius "
-            f"{radius:.6g} with {devs} developments, "
-            f"{len(self.singular_points())} singular vertices")
+            if res is not None:
+                tx = self.tree(x, res[0] * (1 + 1e-9) + 1e-12)
+            else:
+                # grow to the nearest placement of y past the radius, a
+                # chord but not a path; a cell in the tree lies within the
+                # longest edge of the radius, so grow by that when there is
+                # none, and by a quarter at least
+                tx = self.tree(x, max(1.25 * tx.radius, min(
+                    tx.beyond(y), tx.radius + self._scale)))
 
     def _inner_chord(self, x: ComplexPoint, y: ComplexPoint):
         """(length, segment) of the chord xy when x lies inside a 2-cell

@@ -242,7 +242,10 @@ def _tree_disks(comp: MetricComplex, tree, rho: float) -> list:
         for A, t in zip(tree.A[sl][near], tree.t[sl][near]):
             center = A.T @ (-t)
             area = _disk_poly_area(center, rho, poly)
-            if area > 1e-18:
+            # a disk tangent to its cell gets a rounding-level area, 0 or
+            # not by the last bits of its placement; relative to the disk's
+            # own area so the cover does not depend on the tree
+            if area > 1e-12 * math.pi * rho * rho:
                 disks.append((cid, center, rho, area))
     return disks
 

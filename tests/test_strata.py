@@ -103,12 +103,14 @@ def test_ball_mass_across_the_spine(theta_s1):
     assert np.mean(masses) == pytest.approx(exact, rel=3e-3)
 
 
-@pytest.mark.parametrize("name, warm", [("theta_s1", 1.0), ("torus", 0.2)])
+@pytest.mark.parametrize("name, warm", [("theta_s1", 1.0), ("torus", 0.2),
+                                        ("torus", 0.9)])
 def test_ball_draws_do_not_depend_on_cached_trees(name, warm):
     # a tree built earlier for a farther query holds more developments than
     # one grown for the ball, and one grown from a nearer query holds them
-    # in another order; the cover lists each disk once, sorted, so the
-    # draws are the same
+    # in another order, and places disks tangent to their cell with other
+    # rounding; the cover lists each disk once, sorted, and drops the
+    # tangent ones, so the draws are the same
     def draws(warm):
         if name == "theta_s1":
             comp = corpus.theta_times_circle()
@@ -119,11 +121,11 @@ def test_ball_draws_do_not_depend_on_cached_trees(name, warm):
         if warm:
             geo.engine(comp).tree(x, warm)
         disks = strata.BallCover(comp, x, 0.4).disks
-        assert len({(c, *center, rho) for c, center, rho, _ in disks}) \
-            == len(disks)
+        cover = [(c, *np.round(center, 9), rho) for c, center, rho, _ in disks]
+        assert len(set(cover)) == len(cover)
         out = strata.ball_mass_2d(comp, x, 0.4, rng=np.random.default_rng(1))
         pts = geo.ball_samples(comp, x, 0.4, 20, np.random.default_rng(2))
-        return out, [p.key() for p in pts]
+        return cover, out, [p.key() for p in pts]
 
     assert draws(None) == draws(warm)
 

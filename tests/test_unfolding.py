@@ -96,6 +96,18 @@ def test_grid_torus_closed_form(n):
     _assert_closed_form(comp, n, pairs + THROUGH_VERTICES + AT_VERTICES)
 
 
+def test_grid_source_beside_an_edge_crosses_it():
+    # a weight of 5e-12 on the vertex opposite an edge is past bary_tol, so
+    # the source stays inside its cell, about 4e-13 from the edge, with one
+    # root; that root must still cross the edge to reach the cell beyond
+    n, w = 8, 5e-12 / 8
+    _assert_closed_form(grid_torus(n), n, [
+        ((0.05 + w, 0.05), (0.045, 0.06)),     # beside the diagonal
+        ((0.05 + w, 0.05), (0.02, 0.1)),
+        ((0.06, w), (0.07, -0.02)),            # beside the bottom edge
+        ((0.06 + w, 0.06), (0.3, 0.8))])
+
+
 lattice = st.integers(0, 31)
 
 
@@ -179,7 +191,7 @@ def test_grid_query_builds_no_vertex_layer(monkeypatch):
 def test_theta_s1_vertex_layer_builds_the_same_trees(monkeypatch):
     # both vertices of theta x S^1 are singular; the trees are those the
     # engine built when every vertex was threaded.  The two points share no
-    # closed cell, so x's tree starts at the longest edge, sqrt(2)
+    # closed cell but a vertex, so x's tree starts at the path through it
     built = _record_trees(monkeypatch)
     comp = corpus.theta_times_circle()
     eng = geo.engine(comp)
@@ -187,7 +199,7 @@ def test_theta_s1_vertex_layer_builds_the_same_trees(monkeypatch):
                         corpus.square_point(comp, 2, 0.7, 0.6))
     assert d == pytest.approx(math.hypot(0.9, 0.3), abs=1e-9)
     assert built == [((1, (0, 1, 2), (7000000000, 2000000000, 1000000000)),
-                      1.414213562),
+                      1.282509575),
                      ((0, (0,), (10000000000,)), 2.828427125),
                      ((0, (2,), (10000000000,)), 2.828427125)]
     assert len(eng._vertex_trees) == 2 and eng._vv is not None
@@ -302,8 +314,7 @@ def test_disconnected_names_the_search():
     x = complexes.point(comp, 0, [0.2, 0.3, 0.5])
     y = complexes.point(comp, 1, [0.2, 0.3, 0.5])
     with pytest.raises(geo.Disconnected,
-                       match=r"radius 0 with 0 developments, "
-                             r"6 singular vertices"):
+                       match=r"different connected components \(0 and 3\)"):
         geo.engine(comp).distance(x, y)
 
 
@@ -357,7 +368,7 @@ def _loop_tree(comp, x, radius):
     `_place_cell` from its parent's corners in the development plane, across
     the gates that come within the radius and have the source strictly on
     the parent's side."""
-    devs, seen = [], set()
+    devs, seen, bary_of = [], set(), {}
 
     def push(cid, A, t):
         key = (cid, tuple(np.round(A.ravel(), 6)), tuple(np.round(t, 6)))
@@ -367,10 +378,12 @@ def _loop_tree(comp, x, radius):
 
     for cid, bary in x.representations(comp):
         if comp.cells[cid].dim == 2:
+            bary_of[len(devs)] = bary
             push(cid, np.eye(2), -(np.asarray(bary) @ comp.cells[cid].coords))
     head = 0
     while head < len(devs):
         cid, A, t = devs[head]
+        bary = bary_of.get(head)
         head += 1
         corners = comp.cells[cid].coords @ A.T + t
         for drop in range(3):
@@ -380,9 +393,12 @@ def _loop_tree(comp, x, radius):
             if near > radius:
                 continue
             # a ray from the source crosses the gate from the source's side;
-            # it meets a gate line through the source only at the source
+            # it meets a gate line through the source only at the source.  A
+            # root holds the source, on the edges whose opposite weight is 0
             source_side = _cross(e0, e1, (0.0, 0.0)) / np.linalg.norm(e1 - e0)
-            if source_side * np.sign(_cross(e0, e1, corners[drop])) <= 1e-12:
+            if bary is not None and bary[drop] == 0 or bary is None and (
+                    source_side * np.sign(_cross(e0, e1, corners[drop]))
+                    <= 1e-13 * (1 + np.linalg.norm(t))):
                 continue
             my_corr = comp.face_corr(cid, tup)
             for mcid, mtup in comp.face_class_members(
@@ -398,8 +414,11 @@ def _loop_tree(comp, x, radius):
 
 def test_array_tree_matches_one_at_a_time_placement():
     ts, grid = corpus.theta_times_circle(), grid_torus(4)
+    # the last source lies 4e-13 from its cell's diagonal, not on it
     for comp, x, radius in ((ts, corpus.square_point(ts, 0, 0.0, 0.37), 1.2),
-                            (grid, grid_point(grid, 4, 0.3, 0.55), 0.9)):
+                            (grid, grid_point(grid, 4, 0.3, 0.55), 0.9),
+                            (grid, grid_point(grid, 4, 0.1 + 5e-12 / 4, 0.1),
+                             0.6)):
         tree = geo.engine(comp).tree(x, radius)
         ref = _loop_tree(comp, x, radius)
         assert len(tree.A) == len(ref)
