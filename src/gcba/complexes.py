@@ -540,6 +540,18 @@ def complex_from_json_dict(data: dict, settings: Settings = DEFAULTS) -> MetricC
 # points
 
 
+def _sum(vals: list) -> float:
+    total = 0.0
+    for v in vals:
+        total += v
+    return total
+
+
+def _normalized(vals: list) -> list:
+    total = _sum(vals)
+    return [v / total for v in vals]
+
+
 class ComplexPoint:
     """A location in the complex: carrier cell plus barycentric coordinates.
 
@@ -549,32 +561,31 @@ class ComplexPoint:
 
     __slots__ = ("cid", "bary", "carrier", "_key", "_reps")
 
-    def __init__(self, comp: MetricComplex, cid: int, bary, _canonical=False):
-        bary = np.asarray(bary, dtype=float)
-        cell = comp.cells[cid]
-        if bary.shape != (cell.nverts,):
+    def __init__(self, comp: MetricComplex, cid: int, bary):
+        # a cell has at most 3 vertices: Python floats beat numpy calls on
+        # arrays this small, and give the same floats (sums run left to
+        # right, as numpy's do below 8 terms)
+        b = np.asarray(bary, dtype=float)
+        if b.shape != (comp.cells[cid].nverts,):
             raise ComplexError("barycentric coordinate arity mismatch")
-        if np.any(bary < -comp.settings.bary_tol) or abs(bary.sum() - 1.0) > 1e-9:
-            raise ComplexError("barycentric coordinates invalid")
-        bary = np.clip(bary, 0.0, None)
-        bary = bary / bary.sum()
+        b = b.tolist()
         tol = comp.settings.bary_tol
-        support = tuple(i for i in range(cell.nverts) if bary[i] > tol)
-        if not _canonical and len(support) < cell.nverts:
+        if any(v < -tol for v in b) or abs(_sum(b) - 1.0) > 1e-9:
+            raise ComplexError("barycentric coordinates invalid")
+        b = _normalized([max(v, 0.0) for v in b])
+        support = tuple(i for i, v in enumerate(b) if v > tol)
+        if len(support) < len(b):
             # move to the root slot of the carrier face class
-            root = comp.face_root(cid, support)
+            rcid, _ = comp.face_root(cid, support)
             corr = comp.face_corr(cid, support)
-            rcid, rtup = root
-            rb = np.zeros(comp.cells[rcid].nverts)
+            rb = [0.0] * comp.cells[rcid].nverts
             for pos, v in enumerate(support):
-                rb[corr[pos]] = bary[v]
-            cid, bary = rcid, rb / rb.sum()
-            cell = comp.cells[cid]
-            support = tuple(i for i in range(cell.nverts) if bary[i] > tol)
-        clean = np.where(bary > tol, bary, 0.0)
-        clean = clean / clean.sum()
+                rb[corr[pos]] = b[v]
+            cid, b = rcid, _normalized(rb)
+            support = tuple(i for i, v in enumerate(b) if v > tol)
+        clean = _normalized([v if v > tol else 0.0 for v in b])
         self.cid = cid
-        self.bary = clean
+        self.bary = np.array(clean)
         self.carrier = support
         self._key = (cid, support,
                      tuple(int(round(clean[i] / 1e-10)) for i in support))

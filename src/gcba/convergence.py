@@ -55,14 +55,8 @@ class FiniteMetricSpace:
 
 def space_from_points(comp: MetricComplex, pts: list[ComplexPoint],
                       scale: float = 1.0) -> FiniteMetricSpace:
-    eng = geo.engine(comp)
-    n = len(pts)
-    d = np.zeros((n, n))
-    for i in range(n):
-        for j in range(i + 1, n):
-            d[i, j] = d[j, i] = scale * eng.distance(pts[i], pts[j],
-                                                     need_path=False)[0]
-    return FiniteMetricSpace(labels=list(range(n)), dmat=d)
+    d = scale * geo.engine(comp).dist_matrix(pts)
+    return FiniteMetricSpace(labels=list(range(len(pts))), dmat=d)
 
 
 def sample_net(comp: MetricComplex, region, eps: float,
@@ -197,23 +191,27 @@ def gh_exact_small(SA: FiniteMetricSpace, SB: FiniteMetricSpace) -> float:
     R = graph(f) + graph(g); |A|, |B| <= 7."""
     if SA.n > 7 or SB.n > 7:
         raise ConvergenceError("exact GH limited to 7 points")
-    vals = sorted({abs(float(da) - float(db))
-                   for da in SA.dmat.ravel() for db in SB.dmat.ravel()})
+    n, m = SA.n, SB.n
+    # gap[a * m + b, a2 * m + b2] = |d_A(a, a2) - d_B(b, b2)|
+    gap = np.abs(SA.dmat[:, None, :, None] - SB.dmat[None, :, None, :])
+    gap = gap.reshape(n * m, n * m)
+    vals = np.unique(gap).tolist()
 
     def feasible(delta: float) -> bool:
-        n, m = SA.n, SB.n
+        # the pairs that may sit in one correspondence with each pair
+        compatible = (gap <= delta + 1e-12).tolist()
         pairs: list = []
 
-        def compatible(p, q) -> bool:
-            return abs(SA.d(p[0], q[0]) - SB.d(p[1], q[1])) <= delta + 1e-12
+        def fits(cand: int) -> bool:
+            row = compatible[cand]
+            return all(row[q] for q in pairs)
 
         def assign_a(i: int) -> bool:
             if i == n:
                 return assign_b(0)
             for b in range(m):
-                cand = (i, b)
-                if all(compatible(cand, q) for q in pairs):
-                    pairs.append(cand)
+                if fits(i * m + b):
+                    pairs.append(i * m + b)
                     if assign_a(i + 1):
                         return True
                     pairs.pop()
@@ -222,12 +220,11 @@ def gh_exact_small(SA: FiniteMetricSpace, SB: FiniteMetricSpace) -> float:
         def assign_b(b: int) -> bool:
             if b == m:
                 return True
-            if any(q[1] == b for q in pairs):
+            if any(q % m == b for q in pairs):
                 return assign_b(b + 1)
             for a in range(n):
-                cand = (a, b)
-                if all(compatible(cand, q) for q in pairs):
-                    pairs.append(cand)
+                if fits(a * m + b):
+                    pairs.append(a * m + b)
                     if assign_b(b + 1):
                         return True
                     pairs.pop()

@@ -38,19 +38,13 @@ class FlowTrack:
     dist_to_center: list = field(default_factory=list)
 
     def diameter(self, comp: MetricComplex) -> float:
-        eng = geo.engine(comp)
+        """Largest distance between 40 trace points spread evenly from the
+        start to the final point (all of them when the trace is shorter)."""
         pts = self.trace
         if len(pts) > 40:
             idx = np.linspace(0, len(pts) - 1, 40).astype(int)
             pts = [self.trace[i] for i in idx]
-        best = 0.0
-        # farthest targets first: the first query from pts[i] sizes its
-        # source tree for the nearer ones that follow
-        for i in range(len(pts)):
-            for j in range(len(pts) - 1, i, -1):
-                d, _ = eng.distance(pts[i], pts[j], need_path=False)
-                best = max(best, d)
-        return best
+        return float(geo.engine(comp).dist_matrix(pts).max())
 
     def to_json_dict(self) -> dict:
         return {"residual": float(self.residual),
@@ -165,8 +159,7 @@ def retract_to_fiber(comp: MetricComplex, s: Strainer, x: ComplexPoint,
                                         tol=inner_tol, step_cap=cap)
             trace.extend(tr[1:])
             total += moved
-            dists.extend(
-                eng.distance(x, p, need_path=False)[0] for p in tr[1:])
+            dists.extend(eng.dist_matrix([x], tr[1:])[0].tolist())
         new_res = _residual(eng, s, cur, target)
         if new_res > 0.5 * res + tol:
             raise FlowError(
@@ -213,12 +206,7 @@ def fiber_dichotomy(comp: MetricComplex, s: Strainer, region, samples: int = 24,
             d_end, _ = eng.distance(center, track.final, need_path=False)
             if d_end <= 1.5 * radius:
                 mates.append(track.final)
-        spread = 0.0
-        for i in range(len(mates)):
-            for j in range(i + 1, len(mates)):
-                d, _ = eng.distance(mates[i], mates[j], need_path=False)
-                spread = max(spread, d)
-        spreads.append(spread)
+        spreads.append(float(eng.dist_matrix(mates).max()))
     small = radius / 10.0
     big = radius / 2.0
     verdicts = ["injective" if sp <= small else

@@ -22,6 +22,10 @@ cone points of angle other than 2*pi).  Complexes have dimension <= 2 and
 flat cells (load rejects anything else), so every distance takes this route
 and is exact to about 1e-9.
 
+One-to-many queries (`GeodesicEngine.dist_matrix`) answer the pairs that a
+chord inside one convex 2-cell settles in one array step, and send the rest
+through the scalar `distance`.
+
 A direction at a point x is a point of its space of directions,
 `links.link_at(comp, x)`: `log_map` locates the first segment of a geodesic
 there once, and the angle at x between two geodesics is the link distance of
@@ -506,6 +510,9 @@ class GeodesicEngine:
     * links (`links.link_at`), one per open face, so the complex bounds
       their number; each keeps its spherical-tuple searches.
 
+    `distance` answers one pair; `dist_matrix` answers a set of sources
+    against a set of targets (or all pairs of one set) with the same floats.
+
     The LRU caches have fixed sizes.  Queries mutate the caches, so
     concurrent use is not safe.  Settings are read from the complex.
     """
@@ -849,19 +856,24 @@ class GeodesicEngine:
         return best, best_segs
 
     def _vertex_table(self, radius: float):
-        """Direct pieces between the singular vertices."""
-        if self._vv is not None and self._vv_radius >= radius - 1e-12:
+        """Direct pieces between the singular vertices.  A piece no longer
+        than the radius the table was built at is final: a tree of that
+        radius holds every placement within it, so every candidate a larger
+        tree adds is longer.  Growth re-runs `_direct` for the others only."""
+        if self._vv_radius >= radius - 1e-12:
             return self._vv
         verts = self.singular_points()
-        table = {}
+        old, kept, table = self._vv_radius, self._vv or {}, {}
         for i, v in enumerate(verts):
             tv = self.tree(v, radius)
             for j, w in enumerate(verts):
                 if i == j:
                     continue
-                d, segs = self._direct(tv, v, w)
-                if d < math.inf:
-                    table[(i, j)] = (d, segs)
+                piece = kept.get((i, j))
+                if piece is None or piece[0] > old:
+                    piece = self._direct(tv, v, w)
+                if piece[0] < math.inf:
+                    table[(i, j)] = piece
         self._vv = table
         self._vv_radius = radius
         return table
@@ -913,6 +925,62 @@ class GeodesicEngine:
                 # none, and by a quarter at least
                 tx = self.tree(x, max(1.25 * tx.radius, min(
                     tx.beyond(y), tx.radius + self._scale)))
+
+    def dist_matrix(self, xs: list, ys: list | None = None) -> np.ndarray:
+        """The array of d(xs[i], ys[j]); with `ys` None the pairwise matrix
+        of `xs`, each pair i < j queried once as d(xs[i], xs[j]) and
+        mirrored.
+
+        A source inside an open 2-cell takes `_inner_chord`'s rule against
+        every target in that cell in one array step: a path that leaves the
+        convex cell is at least as long as the distance from the source to
+        the cell's boundary, so a shorter chord is the geodesic.  Every
+        other pair goes through `distance`, so each entry is the float
+        `distance(xs[i], ys[j], need_path=False)[0]` gives."""
+        comp = self.comp
+        pairwise = ys is None
+        ys = xs if pairwise else ys
+        out = np.zeros((len(xs), len(ys)))
+        todo = np.ones(out.shape, dtype=bool)
+        if pairwise:
+            todo = np.triu(todo, 1)
+        rows: dict = {}
+        for i, x in enumerate(xs):
+            if len(x.carrier) == 3:
+                rows.setdefault(x.cid, []).append(i)
+        cols: dict = {}
+        for j, y in enumerate(ys):
+            # the last representation in a cell, as `_inner_chord` reads it
+            for cid, b in dict(y.representations(comp)).items():
+                if cid in rows:
+                    js, bs = cols.setdefault(cid, ([], []))
+                    js.append(j)
+                    bs.append(b)
+        # x == y goes through `distance`: equal keys differ by under 1e-10
+        # in each weight, so they lie this close
+        same = 1e-9 * self._scale
+        for cid, (js, bs) in cols.items():
+            cell = comp.cells[cid]
+            i, j = np.array(rows[cid]), np.array(js)
+            bx = np.array([xs[k].bary for k in rows[cid]])
+            d = (np.array(bs) @ cell.coords)[None] - (bx @ cell.coords)[:, None]
+            ln = np.hypot(d[..., 0], d[..., 1])
+            # each source's distance to its cell's boundary, as in
+            # `_inner_chord`
+            L = cell.lengths
+            inner = 2.0 * cell.volume * np.min(
+                bx / [L[1, 2], L[0, 2], L[0, 1]], axis=1)
+            ii, jj = np.nonzero(todo[np.ix_(i, j)] & (ln > same)
+                                & (ln + 1e-12 < inner[:, None]))
+            out[i[ii], j[jj]] = ln[ii, jj]
+            todo[i[ii], j[jj]] = False
+        # last targets first, as `FlowTrack.diameter` queried: along a trace
+        # they are the farthest, and the first query from xs[i] sizes its
+        # source tree for the nearer ones that follow
+        ii, jj = np.nonzero(todo[:, ::-1])
+        for i, j in zip(ii.tolist(), (len(ys) - 1 - jj).tolist()):
+            out[i, j] = self.distance(xs[i], ys[j], need_path=False)[0]
+        return out + out.T if pairwise else out
 
     def _inner_chord(self, x: ComplexPoint, y: ComplexPoint):
         """(length, segment) of the chord xy when x lies inside a 2-cell

@@ -150,3 +150,78 @@ def test_nonzero_kappa_rejected(torus):
     with pytest.raises(InputError, match="kappa"):
         complexes.build_complex([spec], [], -1.0)
     assert complexes.build_complex([spec], [], 0.0).dim == 2
+
+
+def _frozen_point(comp, cid, bary):
+    """The numpy `ComplexPoint` constructor this library shipped before its
+    rewrite on Python floats, kept as the reference: returns (cid, bary,
+    carrier, key)."""
+    bary = np.asarray(bary, dtype=float)
+    cell = comp.cells[cid]
+    if bary.shape != (cell.nverts,):
+        raise ComplexError("barycentric coordinate arity mismatch")
+    if np.any(bary < -comp.settings.bary_tol) or abs(bary.sum() - 1.0) > 1e-9:
+        raise ComplexError("barycentric coordinates invalid")
+    bary = np.clip(bary, 0.0, None)
+    bary = bary / bary.sum()
+    tol = comp.settings.bary_tol
+    support = tuple(i for i in range(cell.nverts) if bary[i] > tol)
+    if len(support) < cell.nverts:
+        root = comp.face_root(cid, support)
+        corr = comp.face_corr(cid, support)
+        rcid, rtup = root
+        rb = np.zeros(comp.cells[rcid].nverts)
+        for pos, v in enumerate(support):
+            rb[corr[pos]] = bary[v]
+        cid, bary = rcid, rb / rb.sum()
+        cell = comp.cells[cid]
+        support = tuple(i for i in range(cell.nverts) if bary[i] > tol)
+    clean = np.where(bary > tol, bary, 0.0)
+    clean = clean / clean.sum()
+    key = (cid, support, tuple(int(round(clean[i] / 1e-10)) for i in support))
+    return cid, clean, support, key
+
+
+def _sample_barys(comp, rng, n):
+    """(cid, bary) of seeded interior, face and vertex points of every cell,
+    some with weights inside the canonicalization tolerance."""
+    out = []
+    for cell in comp.cells:
+        nv = cell.nverts
+        for _ in range(n):
+            b = rng.dirichlet(np.ones(nv))
+            out.append((cell.cid, b))
+            for drop in range(nv):
+                e = b.copy()
+                e[drop] = 0.0
+                e /= e.sum()
+                out.append((cell.cid, e.copy()))
+                e[drop] = rng.choice([-5e-13, 3e-13, 2e-12])
+                out.append((cell.cid, e))
+        for v in range(nv):
+            out.append((cell.cid, np.eye(nv)[v]))
+            out.append((cell.cid, list(np.eye(nv)[v] * (1 - 1e-13)
+                                       + 1e-13 / nv)))
+    return out
+
+
+@pytest.mark.parametrize("name", ["flat_torus", "theta_times_circle",
+                                  "theta_graph"])
+def test_point_matches_the_numpy_constructor(name):
+    # cid, carrier, key and bary are bit-identical to the numpy version
+    comp = getattr(corpus, name)()
+    rng = np.random.default_rng(11)
+    for cid, b in _sample_barys(comp, rng, 25):
+        ref_cid, ref_bary, ref_carrier, ref_key = _frozen_point(comp, cid, b)
+        p = point(comp, cid, b)
+        assert (p.cid, p.carrier, p.key()) == (ref_cid, ref_carrier, ref_key)
+        assert p.bary.dtype == ref_bary.dtype
+        assert p.bary.tobytes() == ref_bary.tobytes()
+    nv = comp.cells[0].nverts
+    for bad in (np.full(nv + 1, 1.0 / (nv + 1)),      # arity
+                np.r_[-0.1, np.full(nv - 1, 1.1 / (nv - 1))],   # negative
+                np.full(nv, 0.2)):                    # sum != 1
+        with pytest.raises(ComplexError):
+            _frozen_point(comp, 0, bad)
+        with pytest.raises(ComplexError):
+            point(comp, 0, bad)

@@ -75,6 +75,74 @@ def test_gh_exact_symmetry_and_triangle(rng):
     assert d02 <= d01 + d12 + 1e-12
 
 
+def _gh_exact_reference(SA, SB):
+    """`gh_exact_small` as it was written before its compatibility became
+    one boolean array per delta: the reference for the array version."""
+    vals = sorted({abs(float(da) - float(db))
+                   for da in SA.dmat.ravel() for db in SB.dmat.ravel()})
+
+    def feasible(delta):
+        n, m = SA.n, SB.n
+        pairs = []
+
+        def compatible(p, q):
+            return abs(SA.d(p[0], q[0]) - SB.d(p[1], q[1])) <= delta + 1e-12
+
+        def assign_a(i):
+            if i == n:
+                return assign_b(0)
+            for b in range(m):
+                cand = (i, b)
+                if all(compatible(cand, q) for q in pairs):
+                    pairs.append(cand)
+                    if assign_a(i + 1):
+                        return True
+                    pairs.pop()
+            return False
+
+        def assign_b(b):
+            if b == m:
+                return True
+            if any(q[1] == b for q in pairs):
+                return assign_b(b + 1)
+            for a in range(n):
+                cand = (a, b)
+                if all(compatible(cand, q) for q in pairs):
+                    pairs.append(cand)
+                    if assign_b(b + 1):
+                        return True
+                    pairs.pop()
+            return False
+
+        return assign_a(0)
+
+    lo, hi = 0, len(vals) - 1
+    while lo < hi:
+        mid = (lo + hi) // 2
+        if feasible(vals[mid]):
+            hi = mid
+        else:
+            lo = mid + 1
+    return vals[lo] / 2.0
+
+
+def test_gh_exact_matches_reference():
+    # the same search over the same values gives the same float, on planar
+    # samples and on integer metrics full of ties
+    rng = np.random.default_rng(8)
+    for _ in range(40):
+        SA = random_space(rng, int(rng.integers(1, 8)))
+        SB = random_space(rng, int(rng.integers(1, 8)))
+        assert cv.gh_exact_small(SA, SB) == _gh_exact_reference(SA, SB)
+    for _ in range(20):
+        spaces = []
+        for n in rng.integers(1, 8, size=2):
+            pts = rng.integers(0, 4, size=(n, 2))
+            d = np.abs(pts[:, None] - pts[None]).sum(axis=2).astype(float)
+            spaces.append(cv.FiniteMetricSpace(list(range(n)), d))
+        assert cv.gh_exact_small(*spaces) == _gh_exact_reference(*spaces)
+
+
 @given(st.integers(2, 6), st.integers(0, 10**6))
 @hsettings(max_examples=15, deadline=None)
 def test_gh_rescaling_property(n, seed):

@@ -75,6 +75,30 @@ def test_diameter_matches_fresh_engine(torus, torus_setup, rng):
     assert track.diameter(torus) == pytest.approx(ref, abs=1e-12)
 
 
+def test_diameter_of_a_chord_track_makes_no_scalar_query(torus, monkeypatch):
+    # every sampled pair of this track lies in one triangle, nearer than the
+    # boundary: the one array step answers them all
+    x = torus_point(torus, 0.42, 0.3)
+    s = strainers.is_strained(torus, x, 2, 0.04, reach=0.2,
+                              estimate_radius=True)
+    y = geo.ball_samples(torus, x, s.radius_estimate, 1,
+                         np.random.default_rng(1))[0]
+    track = flows.retract_to_fiber(torus, s, x, y=y, tol=1e-6)
+    eng = geo.engine(torus)
+    pts = [track.trace[i]
+           for i in np.linspace(0, len(track.trace) - 1, 40).astype(int)]
+    assert all(p != q and eng._inner_chord(p, q) is not None
+               for i, p in enumerate(pts) for q in pts[i + 1:])
+    calls = []
+    scalar = geo.GeodesicEngine.distance
+    monkeypatch.setattr(geo.GeodesicEngine, "distance",
+                        lambda *a, **k: calls.append(a) or scalar(*a, **k))
+    diam = track.diameter(torus)
+    assert calls == []
+    assert diam == max(eng._inner_chord(p, q)[0]
+                       for i, p in enumerate(pts) for q in pts[i + 1:])
+
+
 def test_retract_trivial_cases(torus, torus_setup):
     x, s = torus_setup
     track = flows.retract_to_fiber(torus, s, x, y=x, tol=1e-6)

@@ -439,3 +439,107 @@ def test_log_almost_isometry(theta, torus, theta_s1):
     r1 = geo.log_almost_isometry_check(theta_s1, sp, eps=0.05,
                                        radii=[0.4, 0.2, 0.1])
     assert r1 > 0
+
+
+def _recording(monkeypatch):
+    """Record the (x, y) of every scalar `distance` call."""
+    calls = []
+    scalar = geo.GeodesicEngine.distance
+
+    def distance(self, x, y, need_path=True):
+        calls.append((x, y))
+        return scalar(self, x, y, need_path)
+
+    monkeypatch.setattr(geo.GeodesicEngine, "distance", distance)
+    return calls
+
+
+def _dist_matrix_cases():
+    """(complex, points): interior, edge and vertex points, repeats."""
+    rng = np.random.default_rng(4)
+    torus = corpus.flat_torus()
+    ts = corpus.theta_times_circle()
+    theta = corpus.theta_graph()
+    cone = fan([math.pi / 2] * 8)
+    h = 0.1 / math.sqrt(2)
+    return {
+        "flat_torus": (torus, [torus_point(torus, *rng.random(2))
+                               for _ in range(8)]
+                       + [torus_point(torus, 0.3, 0.3),      # diagonal
+                          torus_point(torus, 0.0, 0.6),      # edge
+                          torus_point(torus, 0.0, 0.0)]      # vertex
+                       + [torus_point(torus, 0.7 + u, 0.2 + v)   # cluster
+                          for u, v in 0.02 * rng.random((4, 2))]),
+        "theta_s1": (ts, [square_point(ts, int(rng.integers(3)),
+                                       *rng.random(2)) for _ in range(6)]
+                     + [square_point(ts, 0, 0.0, 0.4),       # spine
+                        square_point(ts, 2, 0.0, 0.4),       # the same point
+                        square_point(ts, 1, 0.0, 0.0),       # vertex
+                        square_point(ts, 0, 0.6, 0.3),
+                        square_point(ts, 0, 0.6, 0.3),       # repeated
+                        square_point(ts, 0, 0.62, 0.29)]
+                     + [square_point(ts, 1, 0.3 + u, 0.6 + v)   # cluster
+                        for u, v in 0.02 * rng.random((4, 2))]),
+        "theta_graph": (theta, [theta_point(theta, e, t) for e, t in
+                                [(0, 0.1), (1, 0.7), (2, 0.3), (0, 0.0),
+                                 (1, 0.5), (0, 0.1)]]),
+        "cone_4pi": (cone, [complexes.point(cone, 0, [1 - 2 * h, h, h]),
+                            complexes.point(cone, 0, [1 - 3 * h, h, 2 * h])]
+                     + [complexes.point(cone, int(c), rng.dirichlet([1] * 3))
+                        for c in rng.integers(8, size=7)]),
+    }
+
+
+def _scalar_rows(comp, xs, ys, pairwise=False):
+    """The loop `dist_matrix` replaces, on an engine of its own: row by
+    row, farthest targets first, as `FlowTrack.diameter` queried.  Scalar
+    queries grow and reuse cached trees, which can move a distance in its
+    last bit, so the reference makes the same queries in the same order."""
+    eng = geo.GeodesicEngine(comp)
+    M = np.zeros((len(xs), len(ys)))
+    for i, x in enumerate(xs):
+        for j in range(len(ys) - 1, i if pairwise else -1, -1):
+            M[i, j] = eng.distance(x, ys[j], need_path=False)[0]
+    return M + M.T if pairwise else M
+
+
+@pytest.mark.parametrize("name", ["flat_torus", "theta_s1", "theta_graph",
+                                  "cone_4pi"])
+def test_dist_matrix_equals_scalar_distance(name, monkeypatch):
+    # every entry is the float the scalar query gives, in the same
+    # orientation: equal, not approximately equal
+    comp, pts = _dist_matrix_cases()[name]
+    xs, ys = pts[::2], pts[1::2] + pts[:3]
+    calls = _recording(monkeypatch)
+    M = geo.GeodesicEngine(comp).dist_matrix(xs, ys)
+    assert M.shape == (len(xs), len(ys))
+    if comp.dim == 1:
+        # no 2-cell: every pair takes the scalar path
+        assert sorted(map(str, calls)) == sorted(
+            str((x, y)) for x in xs for y in ys)
+    assert (M == _scalar_rows(comp, xs, ys)).all()
+    eng = geo.engine(comp)
+    assert eng.dist_matrix(xs, []).shape == (len(xs), 0)
+    assert eng.dist_matrix([], ys).shape == (0, len(ys))
+    assert eng.dist_matrix([]).shape == (0, 0)
+
+
+@pytest.mark.parametrize("name", ["flat_torus", "theta_s1", "theta_graph",
+                                  "cone_4pi"])
+def test_dist_matrix_pairwise(name, monkeypatch):
+    # symmetric, zero on the diagonal, and each pair i < j queried at most
+    # once as d(xs[i], xs[j]): on a 1-complex exactly the old loop's calls
+    comp, pts = _dist_matrix_cases()[name]
+    calls = _recording(monkeypatch)
+    M = geo.GeodesicEngine(comp).dist_matrix(pts)
+    assert (M == M.T).all() and (np.diag(M) == 0.0).all()
+    index = {id(p): i for i, p in enumerate(pts)}
+    asked = [(index[id(x)], index[id(y)]) for x, y in calls]
+    assert all(i < j for i, j in asked) and len(set(asked)) == len(asked)
+    if comp.dim == 1:
+        assert sorted(asked) == [(i, j) for i in range(len(pts))
+                                 for j in range(i + 1, len(pts))]
+    assert (M == _scalar_rows(comp, pts, pts, pairwise=True)).all()
+    if name == "theta_s1":
+        # the spine point given twice, and a repeated page point
+        assert M[6, 7] == 0.0 and M[9, 10] == 0.0

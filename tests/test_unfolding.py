@@ -543,3 +543,40 @@ def test_cached_tree_memory_is_small():
         assert tree.radius > 0.7
         assert all((tree.cid[sl] == c).all() for c, sl in tree.cells.items())
     assert per_tree <= 40 * 1024
+
+
+def test_grown_vertex_table_keeps_final_pieces(monkeypatch):
+    # a piece no longer than the old radius is final, so growth re-runs
+    # `_direct` only for the rest; the grown table is the one a full re-run
+    # on the grown trees gives, and a fresh engine's to rounding
+    rng = np.random.default_rng(1)
+    graph = random_graph(4, 5, rng)
+    cycle = [float(c) for c in rng.uniform(0.3, 1.0, size=4)]
+    comp = graph_product(graph, cycle)
+    eng = geo.engine(comp)
+    r1 = 0.8 * eng._scale
+    old = dict(eng._vertex_table(r1))
+    calls = []
+    direct = geo.GeodesicEngine._direct
+    monkeypatch.setattr(geo.GeodesicEngine, "_direct",
+                        lambda self, t, v, w: calls.append((v, w))
+                        or direct(self, t, v, w))
+    grown = eng._vertex_table(2 * r1)
+    monkeypatch.undo()
+    verts = eng.singular_points()
+    final = {k for k, (d, _) in old.items() if d <= r1}
+    assert 0 < len(final) < len(verts) * (len(verts) - 1) == len(calls) + len(
+        final)
+    assert all(grown[k] is old[k] for k in final)
+    rerun = {}
+    for i, v in enumerate(verts):
+        for j, w in enumerate(verts):
+            if i != j:
+                d, _ = eng._direct(eng.tree(v, 2 * r1), v, w)
+                if d < math.inf:
+                    rerun[(i, j)] = d
+    assert {k: d for k, (d, _) in grown.items()} == rerun
+    fresh = geo.GeodesicEngine(comp)._vertex_table(2 * r1)
+    assert fresh.keys() == grown.keys()
+    for k, (d, _) in grown.items():
+        assert d == pytest.approx(fresh[k][0], abs=1e-12)
