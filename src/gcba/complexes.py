@@ -181,9 +181,10 @@ class MetricComplex:
     The complex carries the one `Settings` that every computation on it
     reads.  The cells, gluings and faces do not change after construction;
     the geodesic engine (`geodesics.engine`), built on first use, owns every
-    per-complex cache (source trees, edge positions, links, candidate cells)
-    and queries mutate them, so concurrent use is not safe.  Links are kept
-    one per open face, so the complex itself bounds their number.
+    per-complex cache (source trees, the singular vertices and the vertex
+    table, links) and queries mutate them, so concurrent use is not safe.
+    Links are kept one per open face, so the complex itself bounds their
+    number.
     """
 
     def __init__(self, cells: list[Cell], gluings: list[Gluing],

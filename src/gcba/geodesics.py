@@ -8,8 +8,12 @@ neighbour across it; a source tree composes these level by level in a
 breadth-first search pruned at a radius, deduplicated by placement, and
 keeps its developments as arrays.  A query that needs more grows the tree
 in place from its frontier, a development front that only grows as in
-Chen-Han.  Straight candidates are validated by walking the ray through
-the complex with the same table.
+Chen-Han.  A straight candidate from a root development is a chord inside
+one closed convex cell, hence a path (Bridson-Haefliger I.1, II.1.4), and is
+taken as it is; every piece along an edge of a 2-cell is one.  Any other
+candidate is validated by walking its ray through the complex with the same
+table, one branch at a time, up to the first that ends at the target.  A
+piece along a 1-cell is the difference of the two points' positions on it.
 
 A shortest path bends only at singular vertices.  A vertex is flat when its
 link is one circle of length 2*pi; it then has a Euclidean disc as a
@@ -176,10 +180,8 @@ class _LRU(OrderedDict):
             self.popitem(last=False)
 
 
-# bounds of the per-engine caches of source trees (vertex trees excluded)
-# and edge positions
+# bound of the per-engine LRU of source trees (vertex trees excluded)
 _TREE_CACHE_SIZE = 512
-_EDGE_POS_CACHE_SIZE = 1024
 
 
 # ---------------------------------------------------------------------------
@@ -504,16 +506,16 @@ class GeodesicEngine:
       Euclidean disc as neighbourhood, BH I.5), so the vertex distances of a
       tree, the vertex table and the Dijkstra layer of `_assemble` cover
       them alone, and ray walks go straight on through flat vertices;
-    * edge positions of points, the vertex table, the vertex of each cell
-      corner (`vid_map`) and the connected components, which let
-      `distance` raise `Disconnected` before it grows any tree;
+    * the vertex table, the vertex of each cell corner (`vid_map`) and the
+      connected components, which let `distance` raise `Disconnected`
+      before it grows any tree;
     * links (`links.link_at`), one per open face, so the complex bounds
       their number; each keeps its spherical-tuple searches.
 
     `distance` answers one pair; `dist_matrix` answers a set of sources
     against a set of targets (or all pairs of one set) with the same floats.
 
-    The LRU caches have fixed sizes.  Queries mutate the caches, so
+    The tree LRU has a fixed size.  Queries mutate the caches, so
     concurrent use is not safe.  Settings are read from the complex.
     """
 
@@ -531,7 +533,6 @@ class GeodesicEngine:
         self._flat_corners = None
         self._vv = None
         self._vv_radius = -1.0
-        self._edge_pos_cache = _LRU(_EDGE_POS_CACHE_SIZE)
         self._link_cache: dict = {}
         self._vids = None
         self._components = None
@@ -570,20 +571,15 @@ class GeodesicEngine:
 
     # -- ray walking ------------------------------------------------------------
 
-    def ray_walk_all(self, cid: int, xy, vec, length: float,
-                     fork_limit: int = 64):
-        """All straight continuations of the ray (forking at faces incident to
-        three or more 2-cells, going straight on through flat vertices).
-        Used to validate distance candidates."""
-        results = []
+    def ray_walk_all(self, cid: int, xy, vec, length: float):
+        """The straight continuations of the ray, one at a time (forking at
+        faces incident to three or more 2-cells, going straight on through
+        flat vertices), so a caller can stop at the first it wants.  Used to
+        validate distance candidates."""
         stack = [(cid, np.asarray(xy, float), np.asarray(vec, float),
                   length, [])]
-        while stack and len(results) < fork_limit:
-            state = stack.pop()
-            out = self._ray_step(*state, fork=stack)
-            if out is not None:
-                results.append(out)
-        return results
+        while stack:
+            yield self._ray_step(*stack.pop(), fork=stack)
 
     def _ray_step(self, cid, q, w, rem, segs, fork=None, counts=None):
         comp, gates = self.comp, self.gates
@@ -647,72 +643,32 @@ class GeodesicEngine:
         return len(near_zero) == 2 and \
             (cid, 3 - sum(near_zero)) in self._flat_corners
 
-    def ray_walk_single(self, cid, xy, vec, length: float):
-        """Deterministic single walk (first branch in (cid, tup) order),
-        recording the branch count at each junction."""
-        return self._ray_step(cid, np.asarray(xy, float),
-                              np.asarray(vec, float), length, [], counts=[])
-
-    # -- edge (1-dimensional) candidates ----------------------------------------
+    # -- 1-cell pieces ---------------------------------------------------------
 
     def _edge_positions(self, p: ComplexPoint):
-        """Sorted (edge, position along it, edge length) of every 1-face
-        class and 1-cell whose closure holds p."""
-        key = p.key()
-        hit = self._edge_pos_cache.get(key)
-        if hit is not None:
-            return hit
-        comp = self.comp
+        """Sorted (1-cell, position along it from slot 0, its length) of
+        every 1-cell whose closure holds p.  A piece along an edge of a
+        2-cell is a chord of a root development of the source tree."""
         out = []
-        for cid, bary in p.representations(comp):
-            cell = comp.cells[cid]
+        for cid, bary in p.representations(self.comp):
+            cell = self.comp.cells[cid]
             if cell.dim == 1:
                 L = float(cell.lengths[0, 1])
-                out.append((("cell", cid), float(bary[1]) * L, L))
-                continue
-            if cell.dim != 2:
-                continue
-            # the 1-faces of this triangle that contain the point's carrier
-            support = {v for v in range(3) if bary[v] > 1e-12}
-            for mtup in ((0, 1), (0, 2), (1, 2)):
-                if not support <= set(mtup):
-                    continue
-                root = comp.face_root(cid, mtup)
-                corr = comp.face_corr(cid, mtup)
-                rcid, rtup = root
-                L = float(comp.cells[rcid].lengths[rtup[0], rtup[1]])
-                w = {corr[pos]: float(bary[v]) for pos, v in enumerate(mtup)}
-                out.append((root, w.get(rtup[1], 0.0) * L, L))
-        # 1-cells, keyed ("cell", cid), after the 1-face classes of 2-cells
-        uniq = sorted(set((r, round(px, 12), L) for r, px, L in out),
-                      key=lambda e: (e[0][0] == "cell", e))
-        self._edge_pos_cache[key] = uniq
-        return uniq
+                out.append((cid, float(bary[1]) * L, L))
+        return sorted(out)
 
-    def _edge_candidates(self, x: ComplexPoint, y: ComplexPoint):
-        out = []
+    def _edge_piece(self, x: ComplexPoint, y: ComplexPoint):
+        """(length, segments) of the shortest piece along one 1-cell whose
+        closure holds x and y; (inf, None) if there is none."""
+        best, segs = math.inf, None
         ey = self._edge_positions(y)
-        for (rx, px, L) in self._edge_positions(x):
-            for (ry, py, _) in ey:
-                if rx == ry:
-                    out.append((abs(px - py), rx, px, py, L))
-        out.sort(key=lambda c: c[0])
-        return out
-
-    def _edge_segments(self, root, px, py, L):
-        comp = self.comp
-        if root[0] == "cell":
-            cid = root[1]
-            b0 = np.array([1 - px / L, px / L])
-            b1 = np.array([1 - py / L, py / L])
-            return [(cid, b0, b1)]
-        rcid, rtup = root
-        nv = comp.cells[rcid].nverts
-        b0 = np.zeros(nv)
-        b1 = np.zeros(nv)
-        b0[rtup[0]], b0[rtup[1]] = 1 - px / L, px / L
-        b1[rtup[0]], b1[rtup[1]] = 1 - py / L, py / L
-        return [(rcid, b0, b1)]
+        for cid, px, L in self._edge_positions(x):
+            for cy, py, _ in ey:
+                if cy == cid and abs(px - py) < best:
+                    best = abs(px - py)
+                    segs = [(cid, np.array([1 - px / L, px / L]),
+                             np.array([1 - py / L, py / L]))]
+        return best, segs
 
     # -- trees, direct distances, threading --------------------------------------
 
@@ -835,12 +791,7 @@ class GeodesicEngine:
         """Best single-stretch candidate (no bending at vertices).
 
         Returns (length, segments | None)."""
-        best = math.inf
-        best_segs = None
-        for (d, root, px, py, L) in self._edge_candidates(x, y):
-            best = d
-            best_segs = self._edge_segments(root, px, py, L)
-            break
+        best, best_segs = self._edge_piece(x, y)
         for (ln, rcid, rxy, u, chord) in tree.candidates(y):
             if ln >= best - 1e-15:
                 break
@@ -1208,7 +1159,9 @@ def shoot_from_state(comp: MetricComplex, x: ComplexPoint, state: tuple,
     while rem > 1e-12:
         if state[0] == "ray":
             _, rcid, q, w = state
-            out = eng.ray_walk_single(rcid, q, w, rem)
+            # the first branch in (cid, slot) order at each junction
+            out = eng._ray_step(rcid, np.asarray(q, float),
+                                np.asarray(w, float), rem, [], counts=[])
             segs.extend(out.segs)
             counts.extend(out.counts)
             walked = sum(

@@ -296,8 +296,8 @@ def ball_intervals_1d(comp: MetricComplex, x: ComplexPoint, r: float):
         da, _ = eng.distance(x, ends[0], need_path=False)
         db, _ = eng.distance(x, ends[1], need_path=False)
         intervals = [(0.0, r - da), (L - (r - db), L)]
-        for (root, pos, _) in eng._edge_positions(x):
-            if root == ("cell", cell.cid):
+        for (ecid, pos, _) in eng._edge_positions(x):
+            if ecid == cell.cid:
                 intervals.append((pos - r, pos + r))
         clipped = sorted((max(0.0, a), min(L, b)) for a, b in intervals
                          if min(L, b) > max(0.0, a))

@@ -70,6 +70,45 @@ def test_theta_distances(theta):
     assert d == pytest.approx(1.0, abs=1e-12)
 
 
+T_FINE = 0.1234567890123456     # more digits than a 1e-12 rounding keeps
+
+
+@pytest.mark.parametrize("builder, edge", [(corpus.segment, 0),
+                                           (corpus.theta_graph, 1)])
+def test_pieces_along_a_1_cell_are_exact(builder, edge):
+    # the difference of the two positions, to the last bit
+    comp = builder()
+    L = float(comp.cells[edge].lengths[0, 1])
+    x = complexes.point(comp, edge, [1.0 - T_FINE, T_FINE])
+    y = complexes.point(comp, edge, [0.5, 0.5])
+    d, path = geo.engine(comp).distance(x, y)
+    assert d == abs(0.5 - T_FINE) * L
+    assert path.length == d and [s[0] for s in path.segs] == [edge]
+
+
+@pytest.mark.parametrize("name, builder, a, b, length", [
+    # the theta x S^1 spine over vertex a, from page 0 to page 1
+    ("theta_s1", corpus.theta_times_circle, (0, 0.0, T_FINE),
+     (1, 0.0, 0.5), 0.5 - T_FINE),
+    # the flat torus's bottom edge, glued to its top edge
+    ("torus", corpus.flat_torus, (0, T_FINE, 0.0), (0, 0.5, 0.0),
+     0.5 - T_FINE),
+    # the three-page book's spine, from page 0 to page 2
+    ("book", corpus.three_page_book, (0, 0.0, T_FINE), (2, 0.0, 0.75),
+     0.75 - T_FINE)], ids=lambda v: v if isinstance(v, str) else "")
+def test_pieces_along_an_edge_of_a_2_cell(name, builder, a, b, length):
+    # a source tree's root chord: one segment in a 2-cell holding both
+    comp = builder()
+    x, y = square_point(comp, *a), square_point(comp, *b)
+    d, path = geo.engine(comp).distance(x, y)
+    assert abs(d - length) <= 1e-15
+    assert len(path.segs) == 1 and path.start == x and path.end == y
+    cid = path.segs[0][0]
+    assert comp.cells[cid].dim == 2
+    assert cid in dict(x.representations(comp))
+    assert cid in dict(y.representations(comp))
+
+
 def test_theta_vs_dense_dijkstra(theta, rng):
     for _ in range(12):
         e1, e2 = rng.integers(0, 3, size=2)

@@ -1,11 +1,12 @@
 """Guard against dead code in the library.
 
-Every top-level function and class, and every method other than dunders, of
-`src/gcba/*.py` must be named somewhere in `src/`, `tests/` or `bench/`
-besides its own definition.  A name counts as used when it appears as a
-name, an attribute, an imported name or a word inside a string constant (the
+Every top-level function and class, every method other than dunders, and
+every module-level name assigned (dunders excluded) of `src/gcba/*.py` must
+be named somewhere in `src/`, `tests/` or `bench/` besides its own
+definition.  A name counts as used when it is read as a name, or appears as
+an attribute, an imported name or a word inside a string constant (the
 benchmark tracer locates its targets by strings such as
-"GeodesicEngine.distance").
+"GeodesicEngine.distance"); storing to a name does not use it.
 """
 
 from __future__ import annotations
@@ -19,19 +20,32 @@ SEARCHED = ("src", "tests", "bench")
 WORD = re.compile(r"[A-Za-z_][A-Za-z0-9_]*")
 
 
+def _dunder(name: str) -> bool:
+    return name.startswith("__") and name.endswith("__")
+
+
 def _definitions(tree: ast.Module):
-    """(qualified name, name) of top-level functions and classes and of the
-    non-dunder methods of top-level classes."""
+    """(qualified name, name) of top-level functions and classes, of the
+    non-dunder methods of top-level classes and of the non-dunder names
+    assigned at module level."""
     defs = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
     for node in tree.body:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            targets = []
+        for target in targets:
+            for name in ast.walk(target):
+                if isinstance(name, ast.Name) and not _dunder(name.id):
+                    yield name.id, name.id
         if not isinstance(node, defs):
             continue
         yield node.name, node.name
         if isinstance(node, ast.ClassDef):
             for item in node.body:
-                if isinstance(item, defs) and not (
-                        item.name.startswith("__")
-                        and item.name.endswith("__")):
+                if isinstance(item, defs) and not _dunder(item.name):
                     yield f"{node.name}.{item.name}", item.name
 
 
@@ -39,7 +53,8 @@ def _used_names(tree: ast.Module) -> set[str]:
     used: set[str] = set()
     for node in ast.walk(tree):
         if isinstance(node, ast.Name):
-            used.add(node.id)
+            if not isinstance(node.ctx, ast.Store):
+                used.add(node.id)
         elif isinstance(node, ast.Attribute):
             used.add(node.attr)
         elif isinstance(node, ast.alias):

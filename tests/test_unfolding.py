@@ -486,6 +486,52 @@ def test_random_graph_product_closed_form(n, m, k, pairs):
         assert path.length == pytest.approx(d, abs=1e-9), (p, q)
 
 
+def test_ray_walk_stops_at_its_first_match(monkeypatch):
+    # the G(12, 20) x C8 pairs above: a candidate of length 2.9246 has 72
+    # straight continuations and the 25th ends at the target; the walk
+    # takes no step past the outcome that matches
+    log = []
+    step, match = geo.GeodesicEngine._ray_step, geo.GeodesicEngine._match_point
+    direct = geo.GeodesicEngine._direct
+
+    def logged_step(self, *args, **kw):
+        out = step(self, *args, **kw)
+        log.append(("step", out))
+        return out
+
+    def logged_match(self, out, y):
+        hit = match(self, out, y)
+        if hit:
+            log.append(("match", out))
+        return hit
+
+    def logged_direct(self, *args):
+        log.append(("direct", None))
+        return direct(self, *args)
+
+    monkeypatch.setattr(geo.GeodesicEngine, "_ray_step", logged_step)
+    monkeypatch.setattr(geo.GeodesicEngine, "_match_point", logged_match)
+    monkeypatch.setattr(geo.GeodesicEngine, "_direct", logged_direct)
+    test_random_graph_product_closed_form(12, 20, 8, 10)
+    calls = []
+    for kind, out in log:
+        if kind == "direct":
+            calls.append([])
+        else:
+            calls[-1].append((kind, out))
+    matched = 0
+    for entries in calls:
+        kinds = [kind for kind, _ in entries]
+        if "match" not in kinds:
+            continue
+        matched += 1
+        first = kinds.index("match")
+        # the matching outcome is the last one walked
+        assert "step" not in kinds[first:]
+        assert entries[first - 1][1] is entries[first][1]
+    assert matched > 0
+
+
 def test_cone_of_angle_7_closed_form():
     # seven unit-leg triangles of apex angle 1 make a CAT(0) cone of angle
     # 7; points (s, phi) at angle dphi around the apex are at distance
