@@ -18,8 +18,9 @@ from .strainers import Strainer
 
 
 class FlowError(Exception):
-    """A flow that cannot go on.  A coordinate flow's error carries i, steps,
-    stalls, path_queries and gap (the last |f_i - a_i|) as attributes."""
+    """A flow that cannot go on.  A coordinate flow's error carries i,
+    steps (breakpoints placed), path_queries, solver_queries and gap (the
+    last |f_i - a_i|) as attributes."""
 
     def __init__(self, msg: str, **counts):
         super().__init__(msg + "".join(f", {k} {v:.4g}"
@@ -56,67 +57,115 @@ class FlowTrack:
 def flow_phi_i(comp: MetricComplex, s: Strainer, i: int, y: ComplexPoint,
                target_ai: float, tol: float = 1e-9, step_cap: float = None):
     """Move y along the geodesic toward p_i (or the opposite q_i) until
-    |d(p_i, y) - target_ai| <= tol.  Returns (endpoint, trace, moved).
+    |f_i - target_ai| <= tol, f_i = d(p_i, .).  Returns (endpoint, trace,
+    moved).
 
-    The path is queried once per goal and walked by arclength: a subsegment
-    of a shortest path is one, on a CAT(0) complex the only one (BH II.1.4).
-    The goal flips only by rounding (a step is at most |gap|/10 and f_i is
-    1-Lipschitz).  A first-variation rate check (1 - 2*delta per unit
-    length) guards each step; a non-monotone step aborts the run."""
+    The path to the goal is queried once and the move is one arclength on
+    it, found from two facts:
+    - toward p_i, f_i(gamma(t)) = f_i(y) - t on a shortest path gamma to
+      p_i, in any geodesic space, because a subpath of a shortest path is
+      one (BH I.1, II.1.4).  f_i is read from the arclength: no query.
+    - toward q_i, f(t) = f_i(gamma(t)) is convex as long as one lift of p_i
+      stays the nearest: curvature <= 0 makes the universal cover CAT(0)
+      (BH II.4.1), where distance functions are convex (BH II.2.2).  The
+      chord over the first step h must pass the rate check (slope at least
+      1 - 2*delta - 0.02); chord slopes of a convex function grow from
+      left to right, so it certifies every later step.  The level is then
+      bracketed and solved by `_solve_level`, with f queried only at its
+      iterates.  Each iterate is checked against the convexity bound it
+      relies on, and a violation raises FlowError.
+    Breakpoints follow the step rule t += min(0.1 * rem, step_cap), with
+    rem the remaining gap toward p_i or the remaining arclength toward q_i,
+    so the trace is as dense as a flow that queries every step."""
     eng = geo.engine(comp)
     if step_cap is None:
         step_cap = max(s.radius_estimate / 100.0, 1e-4)
-    rate = 1.0 - 2.0 * max(s.delta, 1e-6)
     # positions are reliable to ~1e-9 of the geometry scale; chasing the
     # level set below that floor stalls on reconstruction noise
     tol = max(tol, 3e-9)
-    trace = [y]
-    cur = y
-    fi, _ = eng.distance(s.points[i], cur, need_path=False)
-    gap = fi - target_ai
-    moved = 0.0
-    guard = stall = stalls = queries = 0
-    held = None             # the goal of the path in hand
+    f0, _ = eng.distance(s.points[i], y, need_path=False)
+    if abs(f0 - target_ai) <= tol:
+        return y, [y], 0.0
+    if f0 > target_ai:
+        _, path = eng.distance(y, s.points[i])
+        arcs = _arclengths(path.length - target_ai, step_cap, tol)
+        trace = [y] + [path.point_at(t) for t in arcs]
+    else:
+        _, path = eng.distance(y, s.opposites[i])
+        end, final = _solve_level(eng, s, i, path, f0, target_ai, tol,
+                                  step_cap)
+        arcs = _arclengths(end, step_cap, tol)
+        arcs[-1] = end
+        trace = [y] + [path.point_at(t) for t in arcs[:-1]] + [final]
+    return trace[-1], trace, arcs[-1]
 
-    def fail(msg, g):
-        return FlowError(msg, i=i, steps=len(trace) - 1, stalls=stalls,
-                         path_queries=queries, gap=g)
 
-    while abs(gap) > tol:
-        guard += 1
-        if guard > 5000:
-            raise fail("flow failed to converge (step budget)", abs(gap))
-        goal = s.points[i] if gap > 0 else s.opposites[i]
-        step = min(0.1 * abs(gap), step_cap)
-        if goal is not held:
-            _, path = eng.distance(cur, goal)
-            held, base = goal, moved   # moved - base is walked along path
-            queries += 1
-        d = path.length - (moved - base)
-        if d <= step:
-            step = min(step, d / 2.0) or d / 2.0
-        nxt = path.point_at(moved - base + step)
-        fi2, _ = eng.distance(s.points[i], nxt, need_path=False)
-        gap2 = fi2 - target_ai
-        if abs(gap2) >= abs(gap) - 1e-11:
-            stall += 1
-            stalls += 1
-            if stall > 3:
-                if abs(gap2) <= 10 * tol:
-                    cur = nxt
-                    break
-                raise fail("flow stagnation", abs(gap2))
-        elif abs(gap2) > abs(gap) - rate * step + 1e-9 + 0.02 * step:
-            raise fail(f"non-monotone flow step (strainer quality): |gap| "
-                       f"{abs(gap):.3e} -> {abs(gap2):.3e} with step "
-                       f"{step:.3e}", abs(gap2))
+def _arclengths(to_go: float, cap: float, tol: float) -> list[float]:
+    """Breakpoints t_1 < t_2 < ... of a move that has to_go - t left at
+    arclength t: t += min(0.1 * (to_go - t), cap) until to_go - t <= tol
+    (at least one breakpoint)."""
+    t, out = 0.0, []
+    while True:
+        t += min(0.1 * (to_go - t), cap)
+        out.append(t)
+        if to_go - t <= tol:
+            return out
+
+
+def _solve_level(eng, s: Strainer, i: int, path, f0: float, a: float,
+                 tol: float, step_cap: float):
+    """(t, path.point_at(t)) with |f(t) - a| <= tol, where f(t) =
+    d(p_i, path.point_at(t)) is convex and f(0) = f0 < a - tol.
+
+    A safeguarded secant on a bracket lo < crossing < hi, f(lo) < a <
+    f(hi).  The root of the chord from lo to hi lies left of the crossing;
+    the extension of the chord through the last two left points meets a
+    right of it.  A new left point is followed by the extension, a new
+    right point (or an extension at or past hi) by the chord, so each
+    query moves one end of the bracket."""
+    rate = 1.0 - 2.0 * max(s.delta, 1e-6)
+    h = min(0.1 * (a - f0), step_cap, path.length / 2.0)
+    lo, hi = (0.0, f0), None
+    t, kind, g = h, "first", a - f0
+
+    def fail(msg):
+        return FlowError(msg, i=i, steps=0, path_queries=1, solver_queries=n,
+                         gap=g)
+
+    for n in range(1, 41):
+        pt = path.point_at(t)
+        f, _ = eng.distance(s.points[i], pt, need_path=False)
+        g = abs(f - a)
+        if g <= tol:
+            return t, pt
+        if kind == "first":
+            if g >= (a - f0) - 1e-11:
+                raise fail("flow stagnation")
+            if g > (a - f0) - rate * h + 1e-9 + 0.02 * h:
+                raise fail(f"non-monotone flow step (strainer quality): "
+                           f"|gap| {a - f0:.3e} -> {g:.3e} with step "
+                           f"{h:.3e}")
+        elif kind == "chord" and f > a:
+            raise fail(f"convexity violated: f is {g:.3e} above its chord")
+        elif kind == "extension" and f < a:
+            if t == path.length:
+                raise fail("level not reached on the path to q_i")
+            raise fail(f"convexity violated: f is {g:.3e} below its "
+                       f"chord's extension")
+        if f < a:
+            prev, lo = lo, (t, f)
+            t = (lo[0] + (a - lo[1]) * (lo[0] - prev[0]) / (lo[1] - prev[1])
+                 if lo[1] > prev[1] else math.nan)
         else:
-            stall = 0
-        moved += step
-        cur = nxt
-        gap = gap2
-        trace.append(cur)
-    return cur, trace, moved
+            hi = (t, f)
+        kind = "extension"
+        if hi is not None and not t < hi[0]:
+            t = lo[0] + (a - lo[1]) * (hi[0] - lo[0]) / (hi[1] - lo[1])
+            kind = "chord"
+        t = min(t, path.length)
+        if not lo[0] < t < (hi[0] if hi else math.inf):
+            raise fail("flow stagnation: the solver made no progress")
+    raise fail("flow failed to converge (solver budget)")
 
 
 def retract_to_fiber(comp: MetricComplex, s: Strainer, x: ComplexPoint,
@@ -145,8 +194,9 @@ def retract_to_fiber(comp: MetricComplex, s: Strainer, x: ComplexPoint,
     rounds = [res]
     dists = [eng.distance(x, cur, need_path=False)[0]]
     # the acceptance budget for flows binds tighter than the phi default
-    # discretization; a cap of eps/40 keeps steps local while the per-step
-    # first-variation check still guards the rate
+    # discretization; a cap of eps/40 keeps breakpoints local.  The rate is
+    # guarded by the chord over a q_i move's first step, which certifies
+    # every later chord of its convex f_i; toward p_i the rate is exactly 1
     cap = max(s.radius_estimate / 40.0, 1e-4)
     guard = 0
     while res > tol:

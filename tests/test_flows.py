@@ -169,9 +169,9 @@ def test_sphere_vs_link_examples(torus, theta, theta_s1, rng):
 
 
 def _flow_phi_i_requery(comp, s, i, y, target_ai, tol=1e-9, step_cap=None):
-    """The coordinate flow as it was before it reused its path: one fresh
-    geodesic query to the goal at every step.  Kept only as the reference
-    the path-reusing `flows.flow_phi_i` must reproduce."""
+    """The coordinate flow that steps: one fresh geodesic query to the goal
+    and one query of f_i at every step.  Kept only as the reference the
+    exact moves of `flows.flow_phi_i` are compared against."""
     eng = geo.engine(comp)
     if step_cap is None:
         step_cap = max(s.radius_estimate / 100.0, 1e-4)
@@ -227,55 +227,125 @@ def criterion_4_setups(torus, theta_s1):
     }
 
 
+def _rate_check_holds(f_prev, f_next, a, step, rate):
+    """The per-step check of the stepwise flow: |gap| falls by at least
+    (rate - 0.02) * step, up to 1e-9."""
+    return abs(f_next - a) <= abs(f_prev - a) - rate * step + 1e-9 + 0.02 * step
+
+
 @pytest.mark.parametrize("name", ["torus_k2", "page_k2"])
-def test_path_reuse_matches_requery(criterion_4_setups, name, monkeypatch):
+def test_exact_moves_match_requery(criterion_4_setups, name, monkeypatch):
     comp, s = criterion_4_setups[name]
     eng = geo.engine(comp)
+    rate = 1.0 - 2.0 * max(s.delta, 1e-6)
+    real_distance = geo.GeodesicEngine.distance
+    real_point_at = geo.GeodesicPath.point_at
+    real_phi = flows.flow_phi_i
+    F = strainers.StrainerMap(comp=comp, points=s.points,
+                              opposites=s.opposites)
+    fx = F.value(s.center)
     ys = geo.ball_samples(comp, s.center, s.radius_estimate, 12,
                           np.random.default_rng(15))
+    p_checked = q_checked = 0
     for y in ys:
-        new = flows.retract_to_fiber(comp, s, s.center, y=y, tol=1e-6)
+        goals, placed, moves = {}, [], []
+
+        def distance(self, x, z, need_path=True):
+            out = real_distance(self, x, z, need_path)
+            if need_path:
+                goals[id(out[1])] = (out[1], z)
+            return out
+
+        def point_at(self, t):
+            pt = real_point_at(self, t)
+            placed.append((self, t, pt))
+            return pt
+
+        def phi(comp, s, i, y, target_ai, tol, **kwargs):
+            out = real_phi(comp, s, i, y, target_ai, tol=tol, **kwargs)
+            moves.append((i, target_ai, max(tol, 3e-9), out[1]))
+            return out
+
+        with monkeypatch.context() as m:
+            m.setattr(geo.GeodesicEngine, "distance", distance)
+            m.setattr(geo.GeodesicPath, "point_at", point_at)
+            m.setattr(flows, "flow_phi_i", phi)
+            new = flows.retract_to_fiber(comp, s, s.center, y=y, tol=1e-6)
         with monkeypatch.context() as m:
             m.setattr(flows, "flow_phi_i", _flow_phi_i_requery)
             ref = flows.retract_to_fiber(comp, s, s.center, y=y, tol=1e-6)
-        assert len(new.trace) == len(ref.trace)
-        assert new.residual == pytest.approx(ref.residual, abs=1e-12)
-        assert new.length == pytest.approx(ref.length, abs=1e-12)
-        assert new.diameter(comp) == pytest.approx(ref.diameter(comp),
-                                                   abs=1e-12)
+        assert new.residual <= 1e-6 and ref.residual <= 1e-6
         d, _ = eng.distance(new.final, ref.final, need_path=False)
-        assert d <= 1e-12
+        assert d <= 1e-6
+        assert new.length == pytest.approx(ref.length, abs=1e-6)
+        # the diameter samples 40 trace points, so it moves with the trace
+        # length; both keep criterion 4's bound
+        gap = float(np.linalg.norm(F.value(y) - fx))
+        for track in (new, ref):
+            assert track.diameter(comp) <= 8 * s.k * gap * 1.05 + 1e-9
+        # toward p_i, f_i is the arclength still to go: no query needed
+        for path, t, pt in placed:
+            if id(path) in goals and goals[id(path)][1] in s.points:
+                p = goals[id(path)][1]
+                f, _ = eng.distance(p, pt, need_path=False)
+                assert f == pytest.approx(path.length - t, abs=1e-12)
+                p_checked += 1
+        # every move lands on its level; toward q_i, every step passes the
+        # stepwise flow's rate check
+        for i, a, tol, trace in moves:
+            f = [eng.distance(s.points[i], b, need_path=False)[0]
+                 for b in trace]
+            assert abs(f[-1] - a) <= tol + 1e-12
+            if len(trace) < 2 or f[0] > a:
+                continue
+            for k in range(len(trace) - 1):
+                step, _ = eng.distance(trace[k], trace[k + 1],
+                                       need_path=False)
+                assert _rate_check_holds(f[k], f[k + 1], a, step, rate)
+                q_checked += 1
+    assert p_checked > 100 and q_checked > 100
 
 
 @pytest.mark.parametrize("name", ["torus_k2", "page_k2"])
 def test_one_path_query_per_flow(criterion_4_setups, name, monkeypatch):
     comp, s = criterion_4_setups[name]
-    queries = []
+    queries, scalar = [], []
     real_distance = geo.GeodesicEngine.distance
 
     def counted(self, x, y, need_path=True):
-        if need_path:
-            queries.append((x, y))
+        (queries if need_path else scalar).append((x, y))
         return real_distance(self, x, y, need_path)
 
-    per_call = []
+    per_call, per_retraction = [], []
     real_phi = flows.flow_phi_i
 
-    def phi(*args, **kwargs):
-        before = len(queries)
-        out = real_phi(*args, **kwargs)
-        per_call.append((len(queries) - before, len(out[1]) - 1))
+    def phi(comp, s, i, y, target_ai, **kwargs):
+        f0, _ = real_distance(geo.engine(comp), s.points[i], y,
+                              need_path=False)
+        before, f_before = len(queries), len(scalar)
+        out = real_phi(comp, s, i, y, target_ai, **kwargs)
+        f_queries = sum(x == s.points[i] for x, _ in scalar[f_before:])
+        per_call.append((len(queries) - before, len(out[1]) - 1,
+                         f0 < target_ai, f_queries - 1))
         return out
 
     monkeypatch.setattr(geo.GeodesicEngine, "distance", counted)
     monkeypatch.setattr(flows, "flow_phi_i", phi)
     for y in geo.ball_samples(comp, s.center, s.radius_estimate, 5,
                               np.random.default_rng(16)):
+        before = len(queries) + len(scalar)
         flows.retract_to_fiber(comp, s, s.center, y=y, tol=1e-6)
-    assert sum(steps for _, steps in per_call) > 10 * len(per_call)
+        per_retraction.append(len(queries) + len(scalar) - before)
+    assert sum(steps for _, steps, _, _ in per_call) > 10 * len(per_call)
     # a flow that takes a step queries its path once; one that starts on
     # the level set queries none
-    assert all(q == (1 if steps else 0) for q, steps in per_call)
+    assert all(q == (1 if steps else 0) for q, steps, _, _ in per_call)
+    # a p_i move reads f_i from the arclength; a q_i move queries f_i only
+    # at its solver's iterates
+    assert any(toward_q and steps for _, steps, toward_q, _ in per_call)
+    assert all(n <= 8 if toward_q and steps else n == 0
+               for _, steps, toward_q, n in per_call)
+    assert max(per_retraction) < 60
 
 
 class _Measured:
@@ -301,35 +371,74 @@ class _Measured:
         return getattr(self.real, name)
 
 
-def test_goal_change_requeries(torus, torus_setup, monkeypatch):
-    # a measured f_0 that overshoots the level set after the first step
-    # flips the gap's sign: the flow turns to q_0 with one new path query
+def _q_move_error(torus, torus_setup, monkeypatch, measure):
+    """The FlowError of a q_0 move by 0.01 from x whose measured f_0
+    passes through measure(n, d, f0)."""
     x, s = torus_setup
     real = geo.engine(torus)
     f0, _ = real.distance(s.points[0], x, need_path=False)
-    gap0 = 0.002
-    stub = _Measured(real, s.points[0],
-                     lambda n, d: d if n == 0 else d - 1.5 * gap0)
+    stub = _Measured(real, s.points[0], lambda n, d: measure(n, d, f0))
     monkeypatch.setattr(geo, "engine", lambda comp: stub)
-    end, trace, moved = flows.flow_phi_i(torus, s, 0, x, f0 - gap0,
-                                         tol=1e-9)
-    assert stub.goals == [s.points[0], s.opposites[0]]
-    assert len(trace) > 2
-    f_end, _ = real.distance(s.points[0], end, need_path=False)
-    assert abs(f_end - 1.5 * gap0 - (f0 - gap0)) <= 1e-8
+    with pytest.raises(flows.FlowError) as err:
+        flows.flow_phi_i(torus, s, 0, x, f0 + 0.01, tol=1e-9)
+    assert stub.goals == [s.opposites[0]]
+    return err.value
+
+
+def _counts(e):
+    return (e.i, e.steps, e.path_queries, e.solver_queries)
 
 
 def test_stagnation_reports_counts(torus, torus_setup, monkeypatch):
-    # a measured f_0 that never moves stalls every step
-    x, s = torus_setup
-    real = geo.engine(torus)
-    f0, _ = real.distance(s.points[0], x, need_path=False)
-    stub = _Measured(real, s.points[0], lambda n, d: f0)
-    monkeypatch.setattr(geo, "engine", lambda comp: stub)
-    with pytest.raises(flows.FlowError) as err:
-        flows.flow_phi_i(torus, s, 0, x, f0 - 0.01, tol=1e-9)
-    e = err.value
-    assert (e.i, e.steps, e.stalls, e.path_queries) == (0, 3, 4, 1)
+    # a measured f_0 that never moves: the first step makes no progress
+    e = _q_move_error(torus, torus_setup, monkeypatch, lambda n, d, f0: f0)
+    assert _counts(e) == (0, 0, 1, 1)
     assert e.gap == pytest.approx(0.01, abs=1e-12)
-    assert str(e) == ("flow stagnation, i 0, steps 3, stalls 4, "
-                      "path_queries 1, gap 0.01")
+    assert str(e) == ("flow stagnation, i 0, steps 0, path_queries 1, "
+                      "solver_queries 1, gap 0.01")
+
+
+def test_shallow_first_chord_is_non_monotone(torus, torus_setup,
+                                            monkeypatch):
+    # f_0 rising at half its rate fails the rate check on the first chord
+    x, s = torus_setup
+    e = _q_move_error(torus, torus_setup, monkeypatch,
+                      lambda n, d, f0: d if n == 0 else f0 + 0.5 * (d - f0))
+    h = min(0.001, max(s.radius_estimate / 100.0, 1e-4))
+    assert _counts(e) == (0, 0, 1, 1)
+    assert e.gap == pytest.approx(0.01 - 0.5 * h, abs=1e-9)
+    assert str(e) == (f"non-monotone flow step (strainer quality): |gap| "
+                      f"{0.01:.3e} -> {e.gap:.3e} with step {h:.3e}, i 0, "
+                      f"steps 0, path_queries 1, solver_queries 1, "
+                      f"gap {e.gap:.4g}")
+
+
+@pytest.mark.parametrize("where, shift, queries", [
+    ("above its chord", 0.005, 3),
+    ("below its chord's extension", -0.005, 2)])
+def test_convexity_violation_raises(torus, torus_setup, monkeypatch, where,
+                                    shift, queries):
+    # the first step is true; then f_0 is shifted from the second solver
+    # iterate on.  Shifted up, the extension's iterate becomes the right end
+    # and the chord's root reads above the level; shifted down, the
+    # extension's iterate reads below it.
+    e = _q_move_error(torus, torus_setup, monkeypatch,
+                      lambda n, d, f0: d if n < 2 else d + shift)
+    assert _counts(e) == (0, 0, 1, queries)
+    assert 1e-9 < e.gap <= abs(shift)
+    assert str(e) == (f"convexity violated: f is {e.gap:.3e} {where}, i 0, "
+                      f"steps 0, path_queries 1, solver_queries {queries}, "
+                      f"gap {e.gap:.4g}")
+
+
+def test_unreachable_level_raises(torus, torus_setup):
+    # q_0 is 0.2 from x and f_0 rises at rate 1 toward it: a level 0.5
+    # above f_0(x) lies beyond q_0 on the path
+    x, s = torus_setup
+    f0, _ = geo.engine(torus).distance(s.points[0], x, need_path=False)
+    with pytest.raises(flows.FlowError) as err:
+        flows.flow_phi_i(torus, s, 0, x, f0 + 0.5, tol=1e-9)
+    e = err.value
+    assert _counts(e) == (0, 0, 1, 2)
+    assert e.gap == pytest.approx(0.3, abs=1e-9)
+    assert str(e).startswith("level not reached on the path to q_i, i 0")
